@@ -22,11 +22,9 @@ from .engine import (
     FedRunConfig,
     FedSamProblem,
     RunTrace,
-    local_step,
     noise_average_diagnostic,
     output_time_distribution,
     run_fedsam,
-    sync_average,
     sync_errors,
 )
 from .errors import (
@@ -61,4 +59,4 @@ from .mdp import (
     stationary_distribution,
     value_function_oracle,
 )
-from .sampling import AgentChain, MixingEstimate, init_chain, mixing_diagnostics, stream
+from .sampling import AgentChain, MixingEstimate, mixing_diagnostics, stream

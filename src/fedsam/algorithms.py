@@ -30,7 +30,7 @@ from .mdp import (
     stationary_distribution,
     value_function_oracle,
 )
-from .sampling import AgentChain, MixingEstimate, init_chain, mixing_diagnostics, state_action_kernel
+from .sampling import AgentChain, MixingEstimate, mixing_diagnostics, state_action_kernel
 
 ON_POLICY_TD_LFA = "on_policy_td_lfa"
 OFF_POLICY_TD_TABULAR = "off_policy_td_tabular"
@@ -230,18 +230,6 @@ def spectral_radius_at_beta(instance: AlgorithmInstance, beta: float | None = No
 # Reduction to the generic loop (shifted coordinates)
 # ---------------------------------------------------------------------------
 
-class _WindowNoise:
-    """Noise process view of an agent chain: step() yields the current window."""
-
-    def __init__(self, chain: AgentChain):
-        self.chain = chain
-
-    def step(self) -> tuple[np.ndarray, np.ndarray]:
-        y = self.chain.window()
-        self.chain.advance()
-        return y
-
-
 def build_problem(instance: AlgorithmInstance) -> FedSamProblem:
     """Shifted-coordinate problem: theta = estimate - fixed point.
 
@@ -257,16 +245,10 @@ def build_problem(instance: AlgorithmInstance) -> FedSamProblem:
 
 
 def _make_noise_factory(instance: AlgorithmInstance, window_n: int):
-    def make_noise(agent_id: int, rng: np.random.Generator) -> _WindowNoise:
-        chain = init_chain(
-            instance.mdp,
-            instance.behaviors[agent_id],
-            instance.xi,
-            window_n,
-            rng,
-            agent_id=agent_id,
+    def make_noise(agent_id: int, rng: np.random.Generator) -> AgentChain:
+        return AgentChain(
+            instance.mdp, instance.behaviors[agent_id], instance.xi, window_n, rng, agent_id
         )
-        return _WindowNoise(chain)
 
     return make_noise
 
@@ -302,7 +284,6 @@ def _build_lfa_problem(instance: AlgorithmInstance) -> FedSamProblem:
         apply_b=apply_b,
         make_noise=_make_noise_factory(instance, n),
         norm_kind=NORM_L2,
-        expected_g=lambda i, theta: expected_operator(instance, theta, agent=i),
         initial_theta=-v_pi,
         step_scale=beta,
     )
@@ -351,7 +332,6 @@ def _build_offpolicy_problem(instance: AlgorithmInstance) -> FedSamProblem:
         apply_b=apply_b,
         make_noise=_make_noise_factory(instance, n),
         norm_kind=NORM_SUP,
-        expected_g=lambda i, theta: expected_operator(instance, theta, agent=i),
         initial_theta=-v_pi,
     )
 
@@ -387,7 +367,6 @@ def _build_q_problem(instance: AlgorithmInstance) -> FedSamProblem:
         apply_b=apply_b,
         make_noise=_make_noise_factory(instance, 1),
         norm_kind=NORM_SUP,
-        expected_g=lambda i, theta: expected_operator(instance, theta, agent=i),
         initial_theta=-q_star.reshape(-1),
     )
 
@@ -621,25 +600,22 @@ def run_single_node(
     """Run the raw update for one agent; returns the final estimate."""
     mdp = instance.mdp
     window_n = 1 if instance.kind == Q_LEARNING else instance.n_step
-    chain = init_chain(mdp, instance.behaviors[agent], instance.xi, window_n, rng, agent)
+    chain = AgentChain(mdp, instance.behaviors[agent], instance.xi, window_n, rng, agent)
     if instance.kind == ON_POLICY_TD_LFA:
         est = np.zeros(instance.features.d)
         for _ in range(horizon):
-            states, actions = chain.window()
-            chain.advance()
+            states, actions = chain.step()
             est = onpolicy_td_update(est, states, actions, instance.features, mdp, alpha)
         return est
     if instance.kind == OFF_POLICY_TD_TABULAR:
         est = np.zeros(mdp.n_states)
         behavior = instance.behaviors[agent]
         for _ in range(horizon):
-            states, actions = chain.window()
-            chain.advance()
+            states, actions = chain.step()
             est = offpolicy_td_update(est, states, actions, instance.target, behavior, mdp, alpha)
         return est
     est = np.zeros((mdp.n_states, mdp.n_actions))
     for _ in range(horizon):
-        states, actions = chain.window()
-        chain.advance()
+        states, actions = chain.step()
         est = q_learning_update(est, int(states[0]), int(actions[0]), int(states[1]), mdp, alpha)
     return est

@@ -2,9 +2,9 @@
 
 N agents run local noisy contraction steps theta <- theta + a(G(theta,y) -
 theta + b(y)), average their parameters every K steps, and output the
-averaged iterate at a randomly sampled time. The loop is deterministic given
-the master seed: every agent owns a counter-based stream, so the parallel
-and sequential schedules produce bit-identical results.
+averaged iterate at a randomly sampled time. The loop is sequential and
+deterministic given the master seed: every agent owns a counter-based
+stream, so a run depends on its seed alone, never on which process runs it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -52,7 +51,6 @@ class FedSamProblem:
     apply_b: Callable[[int, Any], np.ndarray]
     make_noise: Callable[[int, np.random.Generator], Any]
     norm_kind: str = NORM_SUP
-    expected_g: Callable[[int, np.ndarray], np.ndarray] | None = None
     initial_theta: np.ndarray | None = None
     step_scale: float = 1.0  # engine step = config.step_size * step_scale
     check_zero_fixed_point: bool = True
@@ -97,9 +95,7 @@ class FedRunConfig:
     horizon: int
     output_c: float
     master_seed: int
-    parallel: bool = False
     checkpoint_stride: int | None = None
-    stop_at_output: bool = False
 
     def __post_init__(self):
         if self.n_agents < 1:
@@ -136,7 +132,7 @@ class RunTrace:
     omega_series: np.ndarray
     output_index: int
     output_theta: np.ndarray
-    final_theta_bar: np.ndarray | None = None
+    final_theta_bar: np.ndarray
 
 
 def output_time_distribution(c: float, horizon: int) -> np.ndarray:
@@ -156,30 +152,6 @@ def sample_output_index(master_seed: int, c: float, horizon: int) -> int:
     return int(stream(master_seed, TAG_OUTPUT_TIME).choice(horizon, p=q))
 
 
-def local_step(
-    problem: FedSamProblem,
-    agent: int,
-    theta: np.ndarray,
-    y: Any,
-    alpha: float,
-    t: int = 0,
-) -> np.ndarray:
-    """One local update theta + alpha (G(theta, y) - theta + b(y))."""
-    out = theta + alpha * (problem.apply_g(agent, theta, y) - theta + problem.apply_b(agent, y))
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(t, agent)
-    return out
-
-
-def sync_average(thetas: np.ndarray) -> np.ndarray:
-    """Replace every agent's parameter by the across-agent mean (idempotent)."""
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2:
-        raise ValueError("expected an (n_agents, dim) parameter matrix")
-    mean = thetas.mean(axis=0)
-    return np.tile(mean, (thetas.shape[0], 1))
-
-
 def sync_errors(thetas: np.ndarray, norm_kind: str = NORM_SUP) -> tuple[float, float]:
     """(Delta, Omega): mean and mean-square dispersion around the agent average.
 
@@ -195,35 +167,36 @@ def sync_errors(thetas: np.ndarray, norm_kind: str = NORM_SUP) -> tuple[float, f
     return float(dists.mean()), float((dists**2).mean())
 
 
-def _advance_agent(args):
-    """Advance one agent through [t_start, t_stop); returns end state and interior snapshots.
+def _advance_agent(problem, agent, theta, noise, t_start, t_stop, alpha, record):
+    """Advance one agent through [t_start, t_stop); returns its end state and snapshots.
 
     Never mutates the incoming theta (each update rebinds), so the caller can
     pass its row without copying. The finite guard sums the parameter: any
-    non-finite entry, or a finite overflow, poisons the sum.
+    non-finite entry, or a finite overflow, poisons the sum. A diverged agent
+    returns (None, t) with t its failing step.
     """
-    apply_g, apply_b, agent, theta, noise, t_start, t_stop, alpha, record = args
     snapshots = {}
     isfinite = math.isfinite
+    apply_g, apply_b, step = problem.apply_g, problem.apply_b, noise.step
     with np.errstate(over="ignore", invalid="ignore"):  # blow-ups become the diverged marker
         for t in range(t_start, t_stop):
-            y = noise.step()
+            y = step()
             theta = theta + alpha * (apply_g(agent, theta, y) - theta + apply_b(agent, y))
             if not isfinite(float(theta.sum())):
-                return agent, ("diverged", t), None, None
+                return None, t
             done = t + 1
             if done < t_stop and done in record:
                 snapshots[done] = theta.copy()
-    return agent, ("ok", None), theta, snapshots
+    return theta, snapshots
 
 
 def run_fedsam(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
     """Execute the loop for config.horizon steps, syncing every sync_period.
 
-    The output time is pre-sampled from its own stream, so early stopping at
-    the output index (stop_at_output without an explicit checkpoint request)
-    changes nothing downstream. Identical configs give bit-identical traces
-    whether or not parallel is set.
+    Agents advance one after another through each block between sync
+    barriers. The output time is pre-sampled from its own stream, so it does
+    not depend on the checkpoint schedule. If any agent diverges within a
+    block, DivergenceError carries the earliest (step, agent).
     """
     if config.n_agents != problem.n_agents:
         raise ValueError(
@@ -234,13 +207,8 @@ def run_fedsam(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
 
     t_hat = sample_output_index(config.master_seed, config.output_c, big_t)
 
-    early = config.stop_at_output and config.checkpoint_stride is None
-    t_end = t_hat if early else big_t
-    if early:
-        schedule: set[int] = set()
-    else:
-        stride = config.checkpoint_stride or max(1, big_t // 500)
-        schedule = set(range(0, big_t + 1, stride)) | {big_t}
+    stride = config.checkpoint_stride or max(1, big_t // 500)
+    schedule = set(range(0, big_t + 1, stride)) | {big_t}
 
     theta0 = problem.initial_theta
     if theta0 is None:
@@ -266,53 +234,39 @@ def run_fedsam(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
 
     record(0, thetas)
 
-    executor = ThreadPoolExecutor(max_workers=min(n_agents, 8)) if config.parallel else None
-    try:
-        t = 0
-        while t < t_end:
-            t_stop = min((t // k + 1) * k, t_end)
-            lo = bisect_right(sorted_schedule, t)
-            hi = bisect_left(sorted_schedule, t_stop)
-            wanted = set(sorted_schedule[lo:hi])
-            if t < t_hat < t_stop:
-                wanted.add(t_hat)
-            tasks = [
-                (problem.apply_g, problem.apply_b, i, thetas[i], noises[i], t, t_stop, alpha_eff, wanted)
-                for i in range(n_agents)
-            ]
-            results = list(executor.map(_advance_agent, tasks)) if executor else [
-                _advance_agent(task) for task in tasks
-            ]
-            diverged = sorted(
-                (status[1], agent) for agent, status, _, _ in results if status[0] == "diverged"
-            )
-            if diverged:
-                raise DivergenceError(diverged[0][0], diverged[0][1])
-            for agent, _, theta_end, _ in results:
-                thetas[agent] = theta_end
-            for t_mid in sorted(wanted):
-                mid = np.stack([snaps[t_mid] for _, _, _, snaps in results])
-                record(t_mid, mid)
-            if t_stop % k == 0:
-                thetas[:] = thetas.mean(axis=0)  # in-place sync barrier
-            record(t_stop, thetas)
-            t = t_stop
-    finally:
-        if executor:
-            executor.shutdown()
-
-    if output_theta is None:  # t_hat == 0 handled by record(0, .); defensive
-        output_theta = thetas.mean(axis=0)
+    t = 0
+    while t < big_t:
+        t_stop = min((t // k + 1) * k, big_t)
+        lo = bisect_right(sorted_schedule, t)
+        hi = bisect_left(sorted_schedule, t_stop)
+        wanted = set(sorted_schedule[lo:hi])
+        if t < t_hat < t_stop:
+            wanted.add(t_hat)
+        results = [
+            _advance_agent(problem, i, thetas[i], noises[i], t, t_stop, alpha_eff, wanted)
+            for i in range(n_agents)
+        ]
+        diverged = [(t_fail, agent) for agent, (end, t_fail) in enumerate(results) if end is None]
+        if diverged:
+            raise DivergenceError(*min(diverged))
+        for agent, (theta_end, _) in enumerate(results):
+            thetas[agent] = theta_end
+        for t_mid in sorted(wanted):
+            record(t_mid, np.stack([snaps[t_mid] for _, snaps in results]))
+        if t_stop % k == 0:
+            thetas[:] = thetas.mean(axis=0)  # in-place sync barrier
+        record(t_stop, thetas)
+        t = t_stop
 
     ts = np.array(sorted(series), dtype=np.int64)
     return RunTrace(
         checkpoint_ts=ts,
-        theta_bar_series=np.stack([series[t][0] for t in ts]) if len(ts) else np.zeros((0, problem.dim)),
+        theta_bar_series=np.stack([series[t][0] for t in ts]),
         delta_series=np.array([series[t][1] for t in ts]),
         omega_series=np.array([series[t][2] for t in ts]),
         output_index=t_hat,
         output_theta=output_theta,
-        final_theta_bar=thetas.mean(axis=0) if not early else None,
+        final_theta_bar=thetas.mean(axis=0),
     )
 
 

@@ -2,8 +2,8 @@
 
 Every random object is derived from the experiment's master seed and the
 coordinates of the thing being produced (cell, replication, agent), never
-from scheduling, so parallel and sequential execution write byte-identical
-result files.
+from scheduling, so a sweep writes byte-identical result files at any
+number of worker processes.
 """
 
 from __future__ import annotations
@@ -329,9 +329,12 @@ def run_trial(
     problem: FedSamProblem | None = None,
     constants: TheoryConstants | None = None,
     checkpoint_stride: int | None = None,
-    parallel_engine: bool = False,
 ) -> TrialResult:
-    """Full federated run of one cell; divergence is recorded, not raised."""
+    """Full federated run of one cell; divergence is recorded, not raised.
+
+    A run diverges when an iterate turns non-finite, or when its error is too
+    large to square as a float.
+    """
     if instance.n_agents != cell.n_agents:
         instance = sub_instance(instance, cell.n_agents)
         problem = None
@@ -350,26 +353,26 @@ def run_trial(
         horizon=cell.horizon,
         output_c=c_out,
         master_seed=trial_seed(master_seed, cell, replication),
-        parallel=parallel_engine,
         checkpoint_stride=checkpoint_stride,
     )
     start = time.perf_counter()
     try:
         trace = run_fedsam(problem, config)
-    except DivergenceError:
+        wall = (time.perf_counter() - start) * 1e3
+        err = problem.norm(trace.output_theta)
+        final_err = problem.norm(trace.final_theta_bar)
+        series = [float(problem.norm(row) ** 2) for row in trace.theta_bar_series]
+        mse, final_sq_error = float(err**2), float(final_err**2)
+    except (DivergenceError, OverflowError):
         wall = (time.perf_counter() - start) * 1e3
         return TrialResult(
             cell.n_agents, cell.sync_period, cell.alpha, cell.horizon, replication,
             mse=float("nan"), final_sq_error=float("nan"), t_hat=-1, status="diverged",
             wall_ms=wall, checkpoint_ts=[], error_series=[], omega_series=[],
         )
-    wall = (time.perf_counter() - start) * 1e3
-    err = problem.norm(trace.output_theta)
-    final_err = problem.norm(trace.final_theta_bar)
-    series = [float(problem.norm(row) ** 2) for row in trace.theta_bar_series]
     return TrialResult(
         cell.n_agents, cell.sync_period, cell.alpha, cell.horizon, replication,
-        mse=float(err**2), final_sq_error=float(final_err**2), t_hat=trace.output_index,
+        mse=mse, final_sq_error=final_sq_error, t_hat=trace.output_index,
         status="ok", wall_ms=wall, checkpoint_ts=[int(t) for t in trace.checkpoint_ts],
         error_series=series, omega_series=[float(w) for w in trace.omega_series],
     )
@@ -408,64 +411,72 @@ class SweepResult:
         return out
 
 
-_INSTANCE_CACHE: dict[tuple[str, int], AlgorithmInstance] = {}
+_Solved = dict[int, tuple[AlgorithmInstance, TheoryConstants]]
+_SweepSetup = dict[int, tuple[AlgorithmInstance, FedSamProblem, TheoryConstants]]
 
 
-def _cached_instance(spec_json: str, n_agents: int) -> AlgorithmInstance:
-    key = (spec_json, n_agents)
-    inst = _INSTANCE_CACHE.get(key)
-    if inst is None:
-        full = _INSTANCE_CACHE.get((spec_json, -1))
-        if full is None:
-            full = build_instance_for_spec(ExperimentSpec.from_dict(json.loads(spec_json)))
-            _INSTANCE_CACHE[(spec_json, -1)] = full
-        inst = sub_instance(full, n_agents)
-        _INSTANCE_CACHE[key] = inst
-    return inst
+def _solve_setup(spec: ExperimentSpec) -> _Solved:
+    """{N: (instance, constants)} for every N of the grid: the costly part of the set-up."""
+    full = build_instance_for_spec(spec)
+    solved = {}
+    for n in sorted(set(spec.n_agents_grid)):
+        instance = sub_instance(full, n)
+        solved[n] = (instance, theory_constants(instance))
+    return solved
 
 
-_PROBLEM_CACHE: dict[tuple[str, int], tuple[FedSamProblem, TheoryConstants]] = {}
+def _with_problems(solved: _Solved) -> _SweepSetup:
+    """Add each N's problem. Problems hold closures and cannot be pickled, so
+    every process that runs trials builds its own, once."""
+    return {n: (instance, build_problem(instance), constants)
+            for n, (instance, constants) in solved.items()}
 
 
-def _trial_task(args: tuple) -> TrialResult:
-    spec_json, cell, replication = args
-    cell = Cell(*cell)
-    instance = _cached_instance(spec_json, cell.n_agents)
-    key = (spec_json, cell.n_agents)
-    cached = _PROBLEM_CACHE.get(key)
-    if cached is None:
-        cached = (build_problem(instance), theory_constants(instance))
-        _PROBLEM_CACHE[key] = cached
-    problem, constants = cached
-    spec = ExperimentSpec.from_dict(json.loads(spec_json))
+def _run_task(spec: ExperimentSpec, setup: _SweepSetup, cell: Cell, replication: int) -> TrialResult:
+    instance, problem, constants = setup[cell.n_agents]
     return run_trial(
         instance, cell, replication, spec.master_seed,
         problem=problem, constants=constants, checkpoint_stride=spec.checkpoint_stride,
     )
 
 
+# A worker process's (spec, set-up), built once by the pool initializer.
+_worker: tuple[ExperimentSpec, _SweepSetup] | None = None
+
+
+def _init_worker(spec: ExperimentSpec, solved: _Solved) -> None:
+    global _worker
+    _worker = (spec, _with_problems(solved))
+
+
+def _worker_task(task: tuple[Cell, int]) -> TrialResult:
+    return _run_task(*_worker, *task)
+
+
 def sweep(spec: ExperimentSpec, workers: int = 1) -> SweepResult:
-    """Run the whole grid with replications; cells x reps execute in parallel."""
+    """Run the whole grid with replications; cells x reps execute in parallel.
+
+    Instances and constants are solved once, here; each process that runs
+    trials (this one, or each worker) then builds the problems once.
+    """
     spec.validate()
-    spec_json = json.dumps(spec.to_dict(), sort_keys=True)
     cells = spec.cells()
-    instance = _cached_instance(spec_json, max(spec.n_agents_grid))
+    solved = _solve_setup(spec)
+    instance, constants = solved[max(solved)]
     _warn_short_horizons(spec, instance)
 
-    tasks = [
-        (spec_json, tuple(cell), rep)
-        for cell in cells
-        for rep in range(spec.replications)
-    ]
+    tasks = [(cell, rep) for cell in cells for rep in range(spec.replications)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(_trial_task, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(spec, solved)
+        ) as pool:
+            trials = list(pool.map(_worker_task, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
     else:
-        trials = [_trial_task(t) for t in tasks]
+        setup = _with_problems(solved)
+        trials = [_run_task(spec, setup, cell, rep) for cell, rep in tasks]
 
     stats = _aggregate(cells, trials, spec.replications)
     slopes = _speedup_slopes(spec, stats)
-    constants = theory_constants(instance)
     return SweepResult(spec=spec, trials=trials, cell_stats=stats, slopes=slopes, constants=constants)
 
 

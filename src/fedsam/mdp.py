@@ -9,7 +9,9 @@ against. Conventions: transition[s, a, s'] = P(s'|s,a), reward[s, a] in
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +27,17 @@ def _check_rows_stochastic(mat: np.ndarray, what: str) -> None:
     row_sums = mat.sum(axis=-1)
     if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
         raise ValueError(f"{what} rows must sum to 1 within {ROW_SUM_TOL}")
+
+
+def cdf_table(rows: np.ndarray) -> array:
+    """Row-wise CDF with the last entry pinned to 1.0, flattened in C order.
+
+    Row r of a table with rows of width w spans [r*w, (r+1)*w); a sampler
+    inverts a uniform against it with bisect_right over that span.
+    """
+    cum = np.cumsum(rows, axis=-1)
+    cum[..., -1] = 1.0
+    return array("d", cum.tobytes())
 
 
 @dataclass(frozen=True)
@@ -54,6 +67,11 @@ class Mdp:
             raise ValueError("rewards must lie in [0, 1]")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
+
+    @cached_property
+    def transition_cdf(self) -> array:
+        """cdf_table of the kernel: row (s, a) starts at (s * n_actions + a) * n_states."""
+        return cdf_table(self.transition)
 
     def to_json(self) -> str:
         payload = {
@@ -96,6 +114,11 @@ class Policy:
     @property
     def n_actions(self) -> int:
         return self.probs.shape[1]
+
+    @cached_property
+    def cdf(self) -> array:
+        """cdf_table of the action probabilities: row s starts at s * n_actions."""
+        return cdf_table(self.probs)
 
     @classmethod
     def uniform(cls, n_states: int, n_actions: int) -> "Policy":

@@ -8,12 +8,13 @@ trajectories are reproducible and independent of worker scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ErgodicityError
-from .mdp import Mdp, Policy
+from .mdp import Mdp, Policy, cdf_table
 
 # Stream tags keep the independent random streams of one run disjoint.
 TAG_NOISE = 1
@@ -27,100 +28,68 @@ def stream(master_seed: int, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _cumulative(rows: np.ndarray) -> np.ndarray:
-    """Row-wise CDF with the last entry pinned to 1.0 for clean inversion."""
-    cum = np.cumsum(rows, axis=-1)
-    cum[..., -1] = 1.0
-    return cum
-
-
-def _draw(cum_row: np.ndarray, u: float) -> int:
-    return int(np.searchsorted(cum_row, u, side="right"))
-
-
-@dataclass
 class AgentChain:
-    """Sliding window over one agent's trajectory.
+    """One agent's Markov trajectory, read as a sliding window of n transitions.
 
-    Holds the last n+1 states and n actions (S_t..S_{t+n}, A_t..A_{t+n-1});
-    `advance` samples one more transition and shifts the window. Owned by a
-    single worker at a time. Sampling goes through cached cumulative tables
-    (inverse CDF), one uniform draw per action and per state.
+    Holds the last n+1 states and n actions (S_t..S_{t+n}, A_t..A_{t+n-1}) as
+    tuples. Construction draws S_0 ~ xi and n warm-up transitions; `advance`
+    samples one more transition and shifts the window, and `step` is the noise
+    process: it returns the current window, then advances. Windows are
+    immutable, so callers may hold them across steps.
+
+    Every draw is one uniform from `rng`, inverted against a row of the
+    cumulative tables that the MDP and the policy build once and share
+    (`bisect_right` there equals `np.searchsorted(side="right")`).
     """
 
-    agent_id: int
-    mdp: Mdp
-    behavior: Policy
-    states: np.ndarray  # (n+1,) ints
-    actions: np.ndarray  # (n,) ints
-    rng: np.random.Generator
-    _policy_cum: np.ndarray = field(repr=False, default=None)
-    _trans_cum: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self._policy_cum is None:
-            self._policy_cum = _cumulative(self.behavior.probs)
-        if self._trans_cum is None:
-            self._trans_cum = _cumulative(self.mdp.transition)
-
-    @property
-    def n_step(self) -> int:
-        return len(self.actions)
-
-    def window(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of (states, actions); safe to hold across advances."""
-        return self.states.copy(), self.actions.copy()
+    def __init__(
+        self,
+        mdp: Mdp,
+        behavior: Policy,
+        xi: np.ndarray,
+        n: int,
+        rng: np.random.Generator,
+        agent_id: int = 0,
+    ):
+        xi = np.asarray(xi, dtype=float)
+        if xi.shape != (mdp.n_states,) or np.any(xi < 0) or abs(xi.sum() - 1.0) > 1e-12:
+            raise ValueError("xi must be a probability distribution over states")
+        if behavior.probs.shape != (mdp.n_states, mdp.n_actions):
+            raise ValueError("behavior policy shape does not match the MDP")
+        self.agent_id = agent_id
+        self.rng = rng
+        self.n_step = n
+        self._n_states = mdp.n_states
+        self._n_actions = mdp.n_actions
+        self._policy_cdf = behavior.cdf
+        self._trans_cdf = mdp.transition_cdf
+        self.states: tuple[int, ...] = (bisect_right(cdf_table(xi), rng.random()),)
+        self.actions: tuple[int, ...] = ()
+        for _ in range(n):
+            self.advance()
 
     def advance(self) -> tuple[int, int]:
         """Sample A ~ behavior(.|S_newest), S' ~ P(.|S_newest, A) and shift.
 
+        Until the window holds n transitions it grows instead of shifting.
         Returns the newest (action, state) pair.
         """
-        s = int(self.states[-1])
-        a = _draw(self._policy_cum[s], self.rng.random())
-        s_next = _draw(self._trans_cum[s, a], self.rng.random())
-        if self.n_step > 0:
-            self.states[:-1] = self.states[1:]
-            self.actions[:-1] = self.actions[1:]
-            self.actions[-1] = a
-        self.states[-1] = s_next
+        n_actions, n_states = self._n_actions, self._n_states
+        lo = self.states[-1] * n_actions
+        a = bisect_right(self._policy_cdf, self.rng.random(), lo, lo + n_actions) - lo
+        lo = (lo + a) * n_states
+        s_next = bisect_right(self._trans_cdf, self.rng.random(), lo, lo + n_states) - lo
+        drop = 1 if len(self.states) > self.n_step else 0
+        self.states = self.states[drop:] + (s_next,)
+        if self.n_step:
+            self.actions = self.actions[drop:] + (a,)
         return a, s_next
 
-
-def init_chain(
-    mdp: Mdp,
-    behavior: Policy,
-    xi: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    agent_id: int = 0,
-) -> AgentChain:
-    """Warmed chain: S_0 ~ xi followed by n sampled transitions."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (mdp.n_states,) or np.any(xi < 0) or abs(xi.sum() - 1.0) > 1e-12:
-        raise ValueError("xi must be a probability distribution over states")
-    if behavior.probs.shape != (mdp.n_states, mdp.n_actions):
-        raise ValueError("behavior policy shape does not match the MDP")
-    policy_cum = _cumulative(behavior.probs)
-    trans_cum = _cumulative(mdp.transition)
-    states = np.zeros(n + 1, dtype=np.int64)
-    actions = np.zeros(n, dtype=np.int64)
-    states[0] = _draw(_cumulative(xi), rng.random())
-    for l in range(n):
-        s = int(states[l])
-        a = _draw(policy_cum[s], rng.random())
-        actions[l] = a
-        states[l + 1] = _draw(trans_cum[s, a], rng.random())
-    return AgentChain(
-        agent_id=agent_id,
-        mdp=mdp,
-        behavior=behavior,
-        states=states,
-        actions=actions,
-        rng=rng,
-        _policy_cum=policy_cum,
-        _trans_cum=trans_cum,
-    )
+    def step(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The current (states, actions) window; the chain then advances."""
+        window = (self.states, self.actions)
+        self.advance()
+        return window
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

@@ -52,7 +52,7 @@ from .mdp import (
     reward_under_policy,
     value_function_oracle,
 )
-from .sampling import init_chain, stream
+from .sampling import AgentChain, stream
 
 DEFAULT_SEED = 2024
 _REL_SLACK = 1e-12  # numerical headroom on "never exceeds" comparisons
@@ -387,7 +387,7 @@ def check_agent_independence(
     mdp = _two_state_sticky_mdp()
     policy = Policy(np.ones((2, 1)))
     xi = np.array([0.5, 0.5])
-    chains = [init_chain(mdp, policy, xi, 1, stream(seed, 34, i), i) for i in range(2)]
+    chains = [AgentChain(mdp, policy, xi, 1, stream(seed, 34, i), i) for i in range(2)]
     counts = np.zeros((2, 2))
     for _ in range(200):  # burn-in
         for c in chains:

@@ -27,7 +27,7 @@ from fedsam.algorithms import (
 )
 from fedsam.harness import GeneratorParams, generate_instance
 from fedsam.mdp import FeatureMatrix, Mdp, Policy
-from fedsam.sampling import init_chain, stream
+from fedsam.sampling import AgentChain, stream
 
 ACCEPT = GeneratorParams(n_states=5, n_actions=3, branching=3, gamma=0.8, d=2, n_step=2, n_agents=2)
 
@@ -69,9 +69,9 @@ class TestRawUpdates:
         params = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.7, n_step=3)
         inst = generate_instance(OFF_POLICY_TD_TABULAR, params, seed=1)
         rng = stream(2, 1)
-        chain = init_chain(inst.mdp, inst.target, inst.xi, 3, rng)
+        chain = AgentChain(inst.mdp, inst.target, inst.xi, 3, rng)
         values = stream(3, 1).standard_normal(4)
-        states, actions = chain.window()
+        states, actions = chain.step()
         out = offpolicy_td_update(values, states, actions, inst.target, inst.target, inst.mdp, 0.1)
         # on-policy n-step tabular TD computed independently
         expected = values.copy()
@@ -98,9 +98,9 @@ class TestRawUpdates:
 
     def test_only_window_head_state_changes(self):
         inst = generate_instance(OFF_POLICY_TD_TABULAR, ACCEPT, seed=5)
-        chain = init_chain(inst.mdp, inst.behaviors[0], inst.xi, 2, stream(7, 1))
+        chain = AgentChain(inst.mdp, inst.behaviors[0], inst.xi, 2, stream(7, 1))
         values = stream(8, 1).standard_normal(5)
-        states, actions = chain.window()
+        states, actions = chain.step()
         out = offpolicy_td_update(values, states, actions, inst.target, inst.behaviors[0], inst.mdp, 0.1)
         changed = np.nonzero(out != values)[0]
         assert set(changed) <= {int(states[0])}
@@ -154,7 +154,7 @@ class TestShiftedReduction:
         problem = build_problem(inst)
         alpha = 0.05
         window_n = 1 if kind == Q_LEARNING else inst.n_step
-        chain = init_chain(inst.mdp, inst.behaviors[0], inst.xi, window_n, stream(20, 1, 0))
+        chain = AgentChain(inst.mdp, inst.behaviors[0], inst.xi, window_n, stream(20, 1, 0))
         noise = problem.make_noise(0, stream(20, 1, 0))
         theta = problem.initial_theta.copy()
         alpha_eff = alpha * problem.step_scale
@@ -165,8 +165,7 @@ class TestShiftedReduction:
         else:
             est = np.zeros((inst.mdp.n_states, inst.mdp.n_actions))
         for _ in range(10_000):
-            states, actions = chain.window()
-            chain.advance()
+            states, actions = chain.step()
             if kind == ON_POLICY_TD_LFA:
                 est = onpolicy_td_update(est, states, actions, inst.features, inst.mdp, alpha)
             elif kind == OFF_POLICY_TD_TABULAR:

@@ -6,12 +6,10 @@ import pytest
 from fedsam.engine import (
     FedRunConfig,
     FedSamProblem,
-    local_step,
     noise_average_diagnostic,
     output_time_distribution,
     run_fedsam,
     sample_output_index,
-    sync_average,
     sync_errors,
 )
 from fedsam.errors import DivergenceError
@@ -21,6 +19,17 @@ from fedsam.sampling import stream
 class _NullNoise:
     def step(self):
         return None
+
+
+class _StepCounter:
+    """Noise whose t-th sample is t."""
+
+    def __init__(self):
+        self.t = -1
+
+    def step(self):
+        self.t += 1
+        return self.t
 
 
 class _RngNoise:
@@ -91,17 +100,30 @@ class TestOutputTimeDistribution:
         assert np.all(np.abs(counts - draws * q) <= 3 * sigma)
 
 
+def traced(prob: FedSamProblem, n_agents: int = 1, sync_period: int = 1, step_size: float = 0.1,
+           horizon: int = 8):
+    """run_fedsam with a checkpoint at every step."""
+    cfg = FedRunConfig(
+        n_agents=n_agents, sync_period=sync_period, step_size=step_size, horizon=horizon,
+        output_c=0.9, master_seed=0, checkpoint_stride=1,
+    )
+    return run_fedsam(prob, cfg)
+
+
 class TestLocalStep:
     def test_fixed_point_input_unchanged(self):
-        prob = deterministic_problem(1.0)
-        theta = np.array([1.7])
-        out = local_step(prob, 0, theta, None, alpha=0.3)
-        assert np.array_equal(out, theta)
+        prob = FedSamProblem(
+            dim=1, n_agents=1,
+            apply_g=lambda i, th, y: th,
+            apply_b=lambda i, y: np.zeros(1),
+            make_noise=lambda i, rng: _NullNoise(),
+            initial_theta=np.array([1.7]),
+        )
+        assert np.array_equal(traced(prob, step_size=0.3).theta_bar_series, np.full((9, 1), 1.7))
 
     def test_zero_step_unchanged(self):
         prob = deterministic_problem(0.25)
-        theta = np.array([1.7])
-        assert np.array_equal(local_step(prob, 0, theta, None, alpha=0.0), theta)
+        assert np.array_equal(traced(prob, step_size=0.0).theta_bar_series, np.ones((9, 1)))
 
     def test_hand_arithmetic(self):
         # G = 0.5 theta, b = 1, theta = 2, alpha = 0.1: 2 + 0.1(1 - 2 + 1) = 2.0
@@ -110,40 +132,55 @@ class TestLocalStep:
             apply_g=lambda i, th, y: 0.5 * th,
             apply_b=lambda i, y: np.ones(1),
             make_noise=lambda i, rng: _NullNoise(),
+            initial_theta=np.array([2.0]),
         )
-        out = local_step(prob, 0, np.array([2.0]), None, alpha=0.1)
-        assert out[0] == pytest.approx(2.0, abs=1e-15)
+        trace = traced(prob, step_size=0.1, horizon=1)
+        assert trace.theta_bar_series[1, 0] == pytest.approx(2.0, abs=1e-15)
 
     def test_divergence_error_carries_context(self):
+        def blow_up(i, th, y):
+            return th * np.inf if (i, y) == (3, 17) else 0.5 * th
+
         prob = FedSamProblem(
-            dim=1, n_agents=1,
-            apply_g=lambda i, th, y: th * np.inf,
+            dim=1, n_agents=4,
+            apply_g=blow_up,
             apply_b=lambda i, y: np.zeros(1),
-            make_noise=lambda i, rng: _NullNoise(),
+            make_noise=lambda i, rng: _StepCounter(),
+            initial_theta=np.ones(1),
             check_zero_fixed_point=False,
         )
         with pytest.raises(DivergenceError) as err:
-            local_step(prob, 3, np.array([1.0]), None, alpha=0.5, t=17)
+            traced(prob, n_agents=4, sync_period=50, step_size=0.5, horizon=50)
         assert err.value.step == 17 and err.value.agent == 3
 
 
 class TestSyncAverage:
-    def test_identical_agents_unchanged(self):
-        thetas = np.tile([1.0, 2.0], (3, 1))
-        assert np.array_equal(sync_average(thetas), thetas)
-
     def test_two_scalars(self):
-        out = sync_average(np.array([[1.0], [3.0]]))
-        assert np.array_equal(out, [[2.0], [2.0]])
+        # G = theta, b_i = 1 + 2i, alpha = 1: the rows 1 and 3 average to 2
+        prob = FedSamProblem(
+            dim=1, n_agents=2,
+            apply_g=lambda i, th, y: th,
+            apply_b=lambda i, y: np.array([1.0 + 2.0 * i]),
+            make_noise=lambda i, rng: _NullNoise(),
+        )
+        trace = traced(prob, n_agents=2, step_size=1.0, horizon=1)
+        assert trace.theta_bar_series[1, 0] == 2.0
+        assert trace.omega_series[1] == 0.0
 
     def test_idempotent(self):
-        thetas = np.random.default_rng(0).standard_normal((4, 3))
-        once = sync_average(thetas)
-        assert np.array_equal(sync_average(once), once)
-
-    def test_shape_error(self):
-        with pytest.raises(ValueError):
-            sync_average(np.zeros(3))
+        # identical agents: averaging their identical rows at every step
+        # changes nothing, so K=1 and a single final barrier agree bitwise
+        prob = FedSamProblem(
+            dim=3, n_agents=4,
+            apply_g=lambda i, th, y: 0.3 * th,
+            apply_b=lambda i, y: np.array([0.7, -0.1, 1.3]),
+            make_noise=lambda i, rng: _NullNoise(),
+            initial_theta=np.random.default_rng(0).standard_normal(3),
+        )
+        every_step = traced(prob, n_agents=4, sync_period=1, horizon=40)
+        once = traced(prob, n_agents=4, sync_period=40, horizon=40)
+        assert np.array_equal(every_step.theta_bar_series, once.theta_bar_series)
+        assert np.array_equal(every_step.final_theta_bar, once.final_theta_bar)
 
 
 class TestSyncErrors:
@@ -199,19 +236,6 @@ class TestRunFedsam:
             assert row[0] == expected
             expected *= 0.75
 
-    def test_parallel_matches_sequential_bitwise(self):
-        prob = iid_problem(n_agents=5)
-        base = dict(
-            n_agents=5, sync_period=3, step_size=0.2, horizon=200, output_c=0.99,
-            master_seed=77, checkpoint_stride=7,
-        )
-        seq = run_fedsam(prob, FedRunConfig(**base, parallel=False))
-        par = run_fedsam(prob, FedRunConfig(**base, parallel=True))
-        assert np.array_equal(seq.theta_bar_series, par.theta_bar_series)
-        assert np.array_equal(seq.omega_series, par.omega_series)
-        assert np.array_equal(seq.output_theta, par.output_theta)
-        assert seq.output_index == par.output_index
-
     def test_omega_zero_exactly_at_sync_instants(self):
         prob = iid_problem(n_agents=4)
         cfg = FedRunConfig(
@@ -223,26 +247,6 @@ class TestRunFedsam:
             if t % 5 == 0:
                 assert omega == 0.0
         assert any(om > 0 for t, om in zip(trace.checkpoint_ts, trace.omega_series) if t % 5 != 0)
-
-    def test_early_stop_reproduces_full_run_output(self):
-        prob = iid_problem(n_agents=2)
-        base = dict(n_agents=2, sync_period=4, step_size=0.1, horizon=300, output_c=0.995, master_seed=9)
-        full = run_fedsam(prob, FedRunConfig(**base))
-        short = run_fedsam(prob, FedRunConfig(**base, stop_at_output=True))
-        assert short.output_index == full.output_index
-        assert np.array_equal(short.output_theta, full.output_theta)
-        assert len(short.checkpoint_ts) == 0
-
-    def test_requested_trace_overrides_early_stop(self):
-        # an explicit checkpoint schedule forces the full horizon
-        prob = iid_problem(n_agents=2)
-        cfg = FedRunConfig(
-            n_agents=2, sync_period=4, step_size=0.1, horizon=300, output_c=0.995,
-            master_seed=9, stop_at_output=True, checkpoint_stride=50,
-        )
-        trace = run_fedsam(prob, cfg)
-        assert trace.checkpoint_ts[-1] == 300
-        assert trace.final_theta_bar is not None
 
     def test_engine_run_reproduces_iid_second_moment(self):
         # the scalar recursion through the engine path (G = 0, b = X_t):

@@ -122,6 +122,15 @@ class TestRunTrial:
         assert result.status == "diverged"
         assert math.isnan(result.mse)
 
+    def test_finite_overflow_recorded_as_diverged(self):
+        # the iterates stay finite, but squaring their norm overflows a float
+        params = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.5, n_agents=2)
+        inst = generate_instance(OFF_POLICY_TD_TABULAR, params, 2024)
+        result = run_trial(inst, Cell(2, 1, 50.0, 200), 0, 2024)
+        assert result.status == "diverged"
+        assert result.t_hat == -1 and math.isnan(result.mse)
+        assert result.error_series == []
+
     def test_single_node_five_state_td_converges(self):
         params = GeneratorParams(n_states=5, n_actions=2, branching=2, gamma=0.3, d=2, n_step=1, n_agents=1)
         inst = generate_instance(OFF_POLICY_TD_TABULAR, params, seed=2024)
@@ -157,6 +166,17 @@ class TestSweep:
         result = sweep(spec)
         assert all(st.invalid for st in result.cell_stats)
         assert all(t.status == "diverged" for t in result.trials)
+
+    def test_finite_overflow_does_not_abort_the_sweep(self):
+        spec = ExperimentSpec(
+            name="overflow", kind=OFF_POLICY_TD_TABULAR,
+            params=GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.5, n_agents=2),
+            n_agents_grid=[2], sync_periods=[1], alpha_grid=[0.1, 50.0], horizon=200,
+            replications=1, master_seed=2024,
+        )
+        result = sweep(spec)
+        assert [(t.alpha, t.status) for t in result.trials] == [(0.1, "ok"), (50.0, "diverged")]
+        assert [st.invalid for st in result.cell_stats] == [False, True]
 
     def test_row_count_is_cells_times_replications(self):
         spec = small_spec()

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsam.errors import ErgodicityError
 from fedsam.harness import GeneratorParams, generate_mdp
 from fedsam.mdp import Mdp, Policy, policy_transition_matrix, stationary_distribution
 from fedsam.sampling import (
+    AgentChain,
     MixingEstimate,
-    init_chain,
     mixing_diagnostics,
     state_action_kernel,
     stream,
@@ -36,24 +38,23 @@ class TestStreams:
         assert not np.array_equal(a, b)
 
 
-class TestInitChain:
+class TestChainConstruction:
     def test_single_state_window_is_constant(self):
         mdp = Mdp(1, 1, np.ones((1, 1, 1)), np.zeros((1, 1)), 0.9)
-        chain = init_chain(mdp, Policy(np.ones((1, 1))), np.array([1.0]), n=3, rng=stream(0, 1))
+        chain = AgentChain(mdp, Policy(np.ones((1, 1))), np.array([1.0]), n=3, rng=stream(0, 1))
         assert np.array_equal(chain.states, np.zeros(4, dtype=int))
 
     def test_same_seed_gives_identical_windows(self):
         mdp = small_mdp()
         pol = Policy.uniform(4, 2)
-        c1 = init_chain(mdp, pol, UNIFORM_XI[4], n=2, rng=stream(7, 1, 0))
-        c2 = init_chain(mdp, pol, UNIFORM_XI[4], n=2, rng=stream(7, 1, 0))
-        assert np.array_equal(c1.states, c2.states)
-        assert np.array_equal(c1.actions, c2.actions)
+        c1 = AgentChain(mdp, pol, UNIFORM_XI[4], n=2, rng=stream(7, 1, 0))
+        c2 = AgentChain(mdp, pol, UNIFORM_XI[4], n=2, rng=stream(7, 1, 0))
+        assert c1.step() == c2.step()
 
     def test_invalid_xi_rejected(self):
         mdp = small_mdp()
         with pytest.raises(ValueError, match="xi"):
-            init_chain(mdp, Policy.uniform(4, 2), np.array([0.5, 0.5, 0.5, 0.5]), 1, stream(0, 1))
+            AgentChain(mdp, Policy.uniform(4, 2), np.array([0.5, 0.5, 0.5, 0.5]), 1, stream(0, 1))
 
     def test_initial_state_frequencies(self):
         # 1e5 draws of S_0 from uniform xi: within 3 binomial sigmas of 1/4
@@ -63,11 +64,63 @@ class TestInitChain:
         counts = np.zeros(4)
         rng = stream(11, 1)
         for _ in range(draws):
-            chain = init_chain(mdp, pol, UNIFORM_XI[4], n=0, rng=rng)
+            chain = AgentChain(mdp, pol, UNIFORM_XI[4], n=0, rng=rng)
             counts[int(chain.states[0])] += 1
         p = 0.25
         sigma = np.sqrt(draws * p * (1 - p))
         assert np.abs(counts - draws * p).max() <= 3 * sigma
+
+
+def reference_windows(mdp, behavior, xi, n, rng, steps):
+    """The windows of `steps` noise steps, from the same uniforms inverted with
+    np.searchsorted(side="right") on per-row cumulative sums."""
+
+    def draw(probs, u):
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0
+        return int(np.searchsorted(cum, u, side="right"))
+
+    states = [draw(xi, rng.random())]
+    actions = []
+    windows = []
+    for t in range(n + steps):
+        if t >= n:
+            windows.append((tuple(states[-n - 1:]), tuple(actions[len(actions) - n:])))
+        s = states[-1]
+        a = draw(behavior.probs[s], rng.random())
+        actions.append(a)
+        states.append(draw(mdp.transition[s, a], rng.random()))
+    return windows
+
+
+class TestReferenceSampler:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_states=st.integers(1, 7),
+        n_actions=st.integers(1, 3),
+        n=st.sampled_from([0, 1, 3]),
+    )
+    def test_windows_match_searchsorted_reference(self, seed, n_states, n_actions, n):
+        rng = np.random.default_rng(seed)
+        mdp = Mdp(
+            n_states, n_actions, rng.dirichlet(np.ones(n_states), size=(n_states, n_actions)),
+            rng.uniform(size=(n_states, n_actions)), 0.9,
+        )
+        behavior = Policy(rng.dirichlet(np.ones(n_actions), size=n_states))
+        xi = rng.dirichlet(np.ones(n_states))
+        chain = AgentChain(mdp, behavior, xi, n, stream(seed, 1, 0))
+        got = [chain.step() for _ in range(200)]
+        assert got == reference_windows(mdp, behavior, xi, n, stream(seed, 1, 0), 200)
+
+    def test_windows_are_immutable_snapshots(self):
+        mdp = small_mdp(seed=2)
+        chain = AgentChain(mdp, Policy.uniform(4, 2), UNIFORM_XI[4], n=2, rng=stream(3, 1))
+        held = chain.step()
+        for _ in range(10):
+            chain.step()
+        assert held == reference_windows(mdp, Policy.uniform(4, 2), UNIFORM_XI[4], 2, stream(3, 1), 1)[0]
+        assert isinstance(held[0], tuple) and isinstance(held[1], tuple)
 
 
 class TestAdvance:
@@ -77,7 +130,7 @@ class TestAdvance:
         for s in range(n):
             trans[s, 0, (s + 1) % n] = 1.0
         mdp = Mdp(n, 1, trans, np.zeros((n, 1)), 0.9)
-        chain = init_chain(mdp, Policy(np.ones((n, 1))), np.array([1.0, 0, 0]), n=1, rng=stream(1, 2))
+        chain = AgentChain(mdp, Policy(np.ones((n, 1))), np.array([1.0, 0, 0]), n=1, rng=stream(1, 2))
         assert list(chain.states) == [0, 1]
         a, s_next = chain.advance()
         assert (a, s_next) == (0, 2)
@@ -86,7 +139,7 @@ class TestAdvance:
     def test_empirical_transition_frequencies(self):
         mdp = small_mdp(seed=3)
         pol = Policy.uniform(4, 2)
-        chain = init_chain(mdp, pol, UNIFORM_XI[4], n=1, rng=stream(13, 1))
+        chain = AgentChain(mdp, pol, UNIFORM_XI[4], n=1, rng=stream(13, 1))
         steps = 100_000
         counts = np.zeros((4, 2, 4))
         for _ in range(steps):
@@ -105,8 +158,8 @@ class TestAdvance:
     def test_distinct_streams_give_distinct_paths(self):
         mdp = small_mdp(seed=4)
         pol = Policy.uniform(4, 2)
-        c1 = init_chain(mdp, pol, UNIFORM_XI[4], n=1, rng=stream(5, 1, 0), agent_id=0)
-        c2 = init_chain(mdp, pol, UNIFORM_XI[4], n=1, rng=stream(5, 1, 1), agent_id=1)
+        c1 = AgentChain(mdp, pol, UNIFORM_XI[4], n=1, rng=stream(5, 1, 0), agent_id=0)
+        c2 = AgentChain(mdp, pol, UNIFORM_XI[4], n=1, rng=stream(5, 1, 1), agent_id=1)
         path1 = [c1.advance()[1] for _ in range(1000)]
         path2 = [c2.advance()[1] for _ in range(1000)]
         assert path1 != path2
@@ -115,10 +168,10 @@ class TestAdvance:
         # interleaving with another chain must not disturb this chain's draw
         mdp = small_mdp(seed=6)
         pol = Policy.uniform(4, 2)
-        solo = init_chain(mdp, pol, UNIFORM_XI[4], n=1, rng=stream(9, 1, 0))
+        solo = AgentChain(mdp, pol, UNIFORM_XI[4], n=1, rng=stream(9, 1, 0))
         solo_path = [solo.advance() for _ in range(50)]
-        again = init_chain(mdp, pol, UNIFORM_XI[4], n=1, rng=stream(9, 1, 0))
-        other = init_chain(mdp, pol, UNIFORM_XI[4], n=1, rng=stream(9, 1, 1))
+        again = AgentChain(mdp, pol, UNIFORM_XI[4], n=1, rng=stream(9, 1, 0))
+        other = AgentChain(mdp, pol, UNIFORM_XI[4], n=1, rng=stream(9, 1, 1))
         inter_path = []
         for _ in range(50):
             other.advance()
