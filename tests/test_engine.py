@@ -155,6 +155,26 @@ class TestLocalStep:
 
 
 class TestSyncAverage:
+    def test_identical_agents_unchanged(self):
+        # three copies of one exact dyadic recursion (theta <- 0.75 theta):
+        # the barrier after every step leaves identical rows as they are, so
+        # the run equals the single-agent run bitwise
+        def problem(n_agents):
+            return FedSamProblem(
+                dim=2, n_agents=n_agents,
+                apply_g=lambda i, th, y: 0.5 * th,
+                apply_b=lambda i, y: np.zeros(2),
+                make_noise=lambda i, rng: _NullNoise(),
+                initial_theta=np.array([1.0, 2.0]),
+            )
+
+        solo = traced(problem(1), step_size=0.5)
+        three = traced(problem(3), n_agents=3, step_size=0.5)
+        assert np.array_equal(three.theta_bar_series, solo.theta_bar_series)
+        assert np.array_equal(three.final_theta_bar, solo.final_theta_bar)
+        assert np.array_equal(three.theta_bar_series[-1], 0.75**8 * np.array([1.0, 2.0]))
+        assert not three.omega_series.any()
+
     def test_two_scalars(self):
         # G = theta, b_i = 1 + 2i, alpha = 1: the rows 1 and 3 average to 2
         prob = FedSamProblem(
@@ -181,6 +201,19 @@ class TestSyncAverage:
         once = traced(prob, n_agents=4, sync_period=40, horizon=40)
         assert np.array_equal(every_step.theta_bar_series, once.theta_bar_series)
         assert np.array_equal(every_step.final_theta_bar, once.final_theta_bar)
+
+    def test_shape_error(self):
+        # the barrier averages an (N, dim) matrix tiled from initial_theta,
+        # so a start that is not one dim-vector is rejected up front
+        for bad in (np.zeros((3, 1)), np.zeros(3)):
+            with pytest.raises(ValueError, match="initial_theta"):
+                FedSamProblem(
+                    dim=1, n_agents=3,
+                    apply_g=lambda i, th, y: th,
+                    apply_b=lambda i, y: np.zeros(1),
+                    make_noise=lambda i, rng: _NullNoise(),
+                    initial_theta=bad,
+                )
 
 
 class TestSyncErrors:

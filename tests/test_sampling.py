@@ -38,7 +38,7 @@ class TestStreams:
         assert not np.array_equal(a, b)
 
 
-class TestChainConstruction:
+class TestInitChain:
     def test_single_state_window_is_constant(self):
         mdp = Mdp(1, 1, np.ones((1, 1, 1)), np.zeros((1, 1)), 0.9)
         chain = AgentChain(mdp, Policy(np.ones((1, 1))), np.array([1.0]), n=3, rng=stream(0, 1))
