@@ -21,6 +21,7 @@ from .mdp import (
     FeatureMatrix,
     Mdp,
     Policy,
+    eigen_moduli,
     importance_ratio,
     importance_ratio_max,
     importance_ratio_table,
@@ -30,7 +31,7 @@ from .mdp import (
     stationary_distribution,
     value_function_oracle,
 )
-from .sampling import AgentChain, MixingEstimate, mixing_diagnostics, state_action_kernel
+from .sampling import AgentChain, MixingEstimate, mixing_diagnostics
 
 ON_POLICY_TD_LFA = "on_policy_td_lfa"
 OFF_POLICY_TD_TABULAR = "off_policy_td_tabular"
@@ -114,8 +115,10 @@ def q_learning_update(
 class AlgorithmInstance:
     """A concrete problem: environment, policies, features, and its oracle.
 
-    Derived fields (fixed point, stationary distributions, mixing, beta) are
-    computed once at construction; treat instances as immutable afterwards.
+    Derived fields (fixed point, per-agent stationary distributions and mixing
+    estimates, beta) are computed once at construction; treat instances as
+    immutable afterwards. The fixed point and beta depend on (mdp, target)
+    only, so `harness.sub_instance` restricts an instance by slicing.
     """
 
     kind: str
@@ -128,8 +131,8 @@ class AlgorithmInstance:
     beta: float | None = None
     fixed_point: np.ndarray = field(init=False)
     stationary: list[np.ndarray] = field(init=False)
+    agent_mixing: list[MixingEstimate] = field(init=False)
     p_target: np.ndarray = field(init=False)
-    mixing: MixingEstimate = field(init=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -150,31 +153,53 @@ class AlgorithmInstance:
             for b in self.behaviors:
                 if not np.array_equal(b.probs, self.target.probs):
                     raise ValueError("on-policy instances must sample with the target policy")
-            self.fixed_point = projected_fixed_point_oracle(
-                self.mdp, self.target, self.features, self.n_step
-            )
         elif self.kind == OFF_POLICY_TD_TABULAR:
             for b in self.behaviors:
                 importance_ratio_table(self.target, b)  # coverage check
+
+        # one spectral pass per distinct behavior chain
+        chains = {b.probs.tobytes(): b for b in self.behaviors}
+        solved = {key: self._solve_chain(b) for key, b in chains.items()}
+        self.stationary = [solved[b.probs.tobytes()][0] for b in self.behaviors]
+        self.agent_mixing = [solved[b.probs.tobytes()][1] for b in self.behaviors]
+
+        if self.kind == ON_POLICY_TD_LFA:
+            self.fixed_point = projected_fixed_point_oracle(
+                self.mdp, self.target, self.features, self.n_step, mu=self.stationary[0]
+            )
+        elif self.kind == OFF_POLICY_TD_TABULAR:
             self.fixed_point = value_function_oracle(self.mdp, self.target)
         else:
             # tighter than the default so the shifted noise has a vanishing
             # stationary mean well below the property tolerances
             self.fixed_point = q_star_oracle(self.mdp, residual_tol=1e-13)
 
-        self.stationary = [
-            stationary_distribution(policy_transition_matrix(self.mdp, b)) for b in self.behaviors
-        ]
-        if self.kind == Q_LEARNING:
-            # the noise process lives on (s, a) pairs
-            mixes = [mixing_diagnostics(state_action_kernel(self.mdp, b)) for b in self.behaviors]
-        else:
-            mixes = [mixing_diagnostics(policy_transition_matrix(self.mdp, b)) for b in self.behaviors]
-        worst = max(mixes, key=lambda m: m.rho)
-        self.mixing = MixingEstimate(rho=worst.rho, m_bar=max(m.m_bar for m in mixes))
-
         if self.kind == ON_POLICY_TD_LFA and self.beta is None:
             self.beta = select_beta(self.expected_update_matrix())
+
+    def _solve_chain(self, behavior: Policy) -> tuple[np.ndarray, MixingEstimate]:
+        """Stationary distribution and mixing of one behavior's chain: one solve, one eigen-solve.
+
+        Q-learning's noise lives on (s, a) pairs, with kernel K = A B, where
+        A[(s,a), s'] = P(s'|s,a) and B[s', (s',a')] = pi(a'|s'). By Sylvester
+        its nonzero eigenvalues are those of B A = P_b, and the total variation
+        from its row (s, a) to its stationary law mu(s') pi(a'|s') is that of
+        P(.|s,a) from mu; so no (S A)^2 matrix is formed.
+        """
+        p_b = policy_transition_matrix(self.mdp, behavior)
+        moduli = eigen_moduli(p_b)
+        mu = stationary_distribution(p_b, moduli)
+        if self.kind != Q_LEARNING:
+            return mu, mixing_diagnostics(p_b, mu=mu, moduli=moduli)
+        if np.any(mu[:, None] * behavior.probs <= 1e-12):
+            raise ErgodicityError("stationary distribution has (near-)zero mass (s, a) pairs")
+        rows = self.mdp.transition.reshape(-1, self.mdp.n_states)
+        return mu, mixing_diagnostics(p_b, mu=mu, moduli=moduli, rows=rows)
+
+    @property
+    def mixing(self) -> MixingEstimate:
+        """Worst case over agents: the largest rho and the largest m_bar."""
+        return MixingEstimate(max(m.rho for m in self.agent_mixing), max(m.m_bar for m in self.agent_mixing))
 
     @property
     def n_agents(self) -> int:
@@ -200,7 +225,7 @@ class AlgorithmInstance:
         if self.kind != ON_POLICY_TD_LFA:
             raise ValueError("expected_update_matrix applies to linear-FA instances only")
         phi = self.features.phi
-        mu = stationary_distribution(self.p_target)
+        mu = self.stationary[0]  # on-policy: every behavior is the target
         p_n = np.linalg.matrix_power(self.p_target, self.n_step)
         return phi.T @ (mu[:, None] * ((self.mdp.gamma ** self.n_step) * (p_n @ phi) - phi))
 
@@ -553,27 +578,41 @@ def theory_constants(instance: AlgorithmInstance) -> TheoryConstants:
         mu_min=mu_min,
         phi=1.0 - gamma_c,
         beta=float(instance.beta),
-        spectral_radius=spectral_radius_at_beta(instance),
+        spectral_radius=float(np.abs(1.0 + eigs / instance.beta).max()),
     )
 
 
 def _lfa_sampled_bounds(instance: AlgorithmInstance) -> tuple[float, float]:
     """Measured Lipschitz and noise bounds for the linear-FA operators.
 
-    G(., y) is linear with matrix I + (1/beta) phi(s0)(gamma^n phi(sn) - phi(s0))',
+    G(., y) is linear with matrix I + u v', u = phi(s0), v = (gamma^n phi(sn) - phi(s0)) / beta,
     so its exact Lipschitz constant per window is a 2-norm over (s0, sn) pairs.
-    The noise bound multiplies the worst single-step temporal difference by
-    the discount span, a valid upper bound for every window.
+    With x = u'v and p = |u|^2 |v|^2, d-2 singular values are 1 and the other
+    two, on span{u, v}, have squares summing to 2 + 2x + p with product
+    (1 + x)^2; the larger is (2 + 2x + p + sqrt(p (p + 4 + 4x))) / 2 (for d = 1
+    the norm is |1 + x|). That is evaluated for all pairs from the Gram matrix;
+    the pairs within 1e-9 relative of its maximum are then re-measured with
+    the exact 2-norm, which gives the bound its bits. The noise bound
+    multiplies the worst single-step temporal difference by the discount
+    span, a valid upper bound for every window.
     """
     mdp, features, n = instance.mdp, instance.features, instance.n_step
     phi = features.phi
     gamma, beta = mdp.gamma, float(instance.beta)
-    dim = features.d
-    a_bound = 0.0
-    for s0 in range(mdp.n_states):
-        for sn in range(mdp.n_states):
-            mat = np.eye(dim) + np.outer(phi[s0], (gamma**n) * phi[sn] - phi[s0]) / beta
-            a_bound = max(a_bound, float(np.linalg.norm(mat, 2)))
+    gamma_n, eye = gamma**n, np.eye(features.d)
+    gram = phi @ phi.T
+    sq = gram.diagonal().copy()
+    x = (gamma_n * gram - sq[:, None]) / beta
+    p = sq[:, None] * ((gamma_n**2 * sq - 2.0 * gamma_n * gram) + sq[:, None]) / beta**2
+    del gram
+    if features.d == 1:
+        sigma = np.abs(1.0 + x)
+    else:
+        sigma = np.sqrt(0.5 * (2.0 + 2.0 * x + p + np.sqrt(np.maximum(p * (p + 4.0 + 4.0 * x), 0.0))))
+    a_bound = max(
+        float(np.linalg.norm(eye + np.outer(phi[s0], gamma_n * phi[sn] - phi[s0]) / beta, 2))
+        for s0, sn in np.argwhere(sigma >= (1.0 - 1e-9) * sigma.max())
+    )
     v_pi = instance.fixed_point
     values = phi @ v_pi
     td_max = 0.0

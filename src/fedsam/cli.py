@@ -304,7 +304,7 @@ def _add_common(parser: argparse.ArgumentParser, with_config: bool = True) -> No
             help="override a config key (dotted paths allowed, values parsed as JSON)",
         )
     parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument("--parallel", type=int, default=1, help="worker processes (default: 1)")
+    parser.add_argument("--parallel", type=int, default=1, help="worker processes, at most one per CPU")
     parser.add_argument(
         "--seed", type=int, default=None,
         help=f"master seed (overrides {ENV_SEED} and the config file)",
@@ -357,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "parallel", 1) < 1:
+            parser.error(f"argument --parallel: must be at least 1, got {args.parallel}")
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:

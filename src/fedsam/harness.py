@@ -8,14 +8,17 @@ number of worker processes.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -257,21 +260,19 @@ def build_instance_for_spec(spec: ExperimentSpec) -> AlgorithmInstance:
 
 
 def sub_instance(instance: AlgorithmInstance, n_agents: int) -> AlgorithmInstance:
-    """Restriction to the first n_agents behavior policies."""
-    if n_agents > instance.n_agents:
+    """Restriction to the first n_agents behavior policies, by slicing the per-agent fields.
+
+    The fixed point and beta depend on (mdp, target) only, so nothing is solved again.
+    """
+    if not 1 <= n_agents <= instance.n_agents:
         raise ValueError(f"instance provides {instance.n_agents} agents, needed {n_agents}")
     if n_agents == instance.n_agents:
         return instance
-    return AlgorithmInstance(
-        kind=instance.kind,
-        mdp=instance.mdp,
-        target=instance.target,
-        behaviors=instance.behaviors[:n_agents],
-        n_step=instance.n_step,
-        features=instance.features,
-        xi=instance.xi,
-        beta=instance.beta,
-    )
+    sub = copy.copy(instance)
+    sub.behaviors = instance.behaviors[:n_agents]
+    sub.stationary = instance.stationary[:n_agents]
+    sub.agent_mixing = instance.agent_mixing[:n_agents]
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +346,11 @@ def run_trial(
     alpha_eff = cell.alpha * problem.step_scale
     c_out = constants.c_out(alpha_eff)
     if c_out <= 0:  # step too large for late-iterate weighting; fall back to a flat-ish c
+        warnings.warn(
+            f"cell {tuple(cell)}: output constant c_out = {c_out!r} at alpha_eff = {alpha_eff!r} "
+            "is not positive; the output time is drawn with c = 0.5 instead",
+            RuntimeWarning, stacklevel=2,
+        )
         c_out = 0.5
     config = FedRunConfig(
         n_agents=cell.n_agents,
@@ -453,13 +459,20 @@ def _worker_task(task: tuple[Cell, int]) -> TrialResult:
     return _run_task(*_worker, *task)
 
 
+def worker_count(requested: int) -> int:
+    """Worker processes to start: at most one per CPU (results are the same at any count)."""
+    return min(requested, os.cpu_count() or 1)
+
+
 def sweep(spec: ExperimentSpec, workers: int = 1) -> SweepResult:
     """Run the whole grid with replications; cells x reps execute in parallel.
 
     Instances and constants are solved once, here; each process that runs
-    trials (this one, or each worker) then builds the problems once.
+    trials (this one, or each of `worker_count(workers)` workers) then builds
+    the problems once.
     """
     spec.validate()
+    workers = worker_count(workers)
     cells = spec.cells()
     solved = _solve_setup(spec)
     instance, constants = solved[max(solved)]
@@ -681,11 +694,26 @@ SERIES_HEADER = "n_agents,sync_period,alpha,horizon,replication,t,sq_error,omega
 TIMING_HEADER = "n_agents,sync_period,alpha,horizon,replication,wall_ms"
 
 
+def _write_atomic(path: Path, lines: Iterable[str]) -> None:
+    """Write the lines, each ended by a newline, through a temporary file in the
+    same directory that then replaces `path`: a write that fails part-way
+    leaves `path` as it was and no partial file behind."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            for line in lines:
+                f.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def persist(result: SweepResult, out_dir: str | Path, name: str | None = None) -> dict[str, Path]:
     """Write metadata, results table, checkpoint series, and the timing sidecar.
 
     Everything except the timing sidecar is a pure function of (spec, seed),
-    so reruns produce byte-identical files.
+    so reruns produce byte-identical files. Each file is replaced whole.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -710,34 +738,23 @@ def persist(result: SweepResult, out_dir: str | Path, name: str | None = None) -
         "slopes": result.slopes,
         "cells": [asdict(st) for st in result.cell_stats],
     }
-    paths["meta"].write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_atomic(paths["meta"], [json.dumps(meta, indent=2, sort_keys=True)])
 
     def fmt(x: float) -> str:
         return repr(float(x))
 
-    lines = [RESULTS_HEADER]
-    for t in trials:
-        lines.append(
-            f"{t.n_agents},{t.sync_period},{fmt(t.alpha)},{t.horizon},{t.replication},"
-            f"{fmt(t.mse)},{fmt(t.final_sq_error)},{t.t_hat},{t.status}"
-        )
-    paths["results"].write_text("\n".join(lines) + "\n")
+    def key(t: TrialResult) -> str:
+        return f"{t.n_agents},{t.sync_period},{fmt(t.alpha)},{t.horizon},{t.replication}"
 
-    lines = [SERIES_HEADER]
-    for t in trials:
-        for ck, err, omega in zip(t.checkpoint_ts, t.error_series, t.omega_series):
-            lines.append(
-                f"{t.n_agents},{t.sync_period},{fmt(t.alpha)},{t.horizon},{t.replication},"
-                f"{ck},{fmt(err)},{fmt(omega)}"
-            )
-    paths["series"].write_text("\n".join(lines) + "\n")
-
-    lines = [TIMING_HEADER]
-    for t in trials:
-        lines.append(
-            f"{t.n_agents},{t.sync_period},{fmt(t.alpha)},{t.horizon},{t.replication},{fmt(t.wall_ms)}"
-        )
-    paths["timing"].write_text("\n".join(lines) + "\n")
+    _write_atomic(paths["results"], [RESULTS_HEADER] + [
+        f"{key(t)},{fmt(t.mse)},{fmt(t.final_sq_error)},{t.t_hat},{t.status}" for t in trials
+    ])
+    _write_atomic(paths["series"], chain([SERIES_HEADER], (
+        f"{key(t)},{ck},{fmt(err)},{fmt(omega)}"
+        for t in trials
+        for ck, err, omega in zip(t.checkpoint_ts, t.error_series, t.omega_series)
+    )))
+    _write_atomic(paths["timing"], [TIMING_HEADER] + [f"{key(t)},{fmt(t.wall_ms)}" for t in trials])
     return paths
 
 

@@ -19,6 +19,7 @@ from .errors import CoverageError, ErgodicityError
 
 ROW_SUM_TOL = 1e-12
 RANK_TOL = 1e-10
+ERGODIC_GAP = 1e-12
 
 
 def _check_rows_stochastic(mat: np.ndarray, what: str) -> None:
@@ -165,16 +166,27 @@ def reward_under_policy(mdp: Mdp, policy: Policy) -> np.ndarray:
     return np.einsum("sa,sa->s", policy.probs, mdp.reward)
 
 
-def stationary_distribution(p_pi: np.ndarray) -> np.ndarray:
+def eigen_moduli(mat: np.ndarray) -> np.ndarray:
+    """Moduli of a square matrix's eigenvalues, largest first."""
+    return np.sort(np.abs(np.linalg.eigvals(mat)))[::-1]
+
+
+def stationary_distribution(p_pi: np.ndarray, moduli: np.ndarray | None = None) -> np.ndarray:
     """Stationary distribution of a row-stochastic matrix.
 
-    Solved directly from (P^T - I) mu = 0 with the normalization row, then
-    cross-checked against power iteration started off-center so that periodic
-    or reducible chains are detected instead of silently accepted.
+    Solved directly from (P^T - I) mu = 0 with the normalization row. The
+    chain is rejected when an eigenvalue besides the Perron root has modulus
+    within 1e-12 of 1: eigenvalue 1 repeated means it is reducible, another
+    one on the unit circle that it is periodic. `moduli` (from `eigen_moduli`)
+    passes in a spectrum the caller already has.
     """
     p_pi = np.asarray(p_pi, dtype=float)
     _check_rows_stochastic(p_pi, "transition matrix")
     n = p_pi.shape[0]
+    if moduli is None:
+        moduli = eigen_moduli(p_pi)
+    if n > 1 and moduli[1] >= 1.0 - ERGODIC_GAP:
+        raise ErgodicityError(f"second eigenvalue modulus {moduli[1]:.12f}: chain reducible or periodic")
 
     system = p_pi.T - np.eye(n)
     system[-1, :] = 1.0
@@ -184,26 +196,6 @@ def stationary_distribution(p_pi: np.ndarray) -> np.ndarray:
         mu = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise ErgodicityError(f"stationary system is singular: {exc}") from exc
-
-    # Off-center start: a uniform start is invariant for doubly stochastic
-    # periodic chains and would mask the oscillation.
-    probe = np.full(n, 1.0 / (2 * n))
-    probe[0] += 0.5
-    converged = False
-    for _ in range(200_000):
-        nxt = probe @ p_pi
-        if np.abs(nxt - probe).sum() <= 1e-13:
-            probe = nxt
-            converged = True
-            break
-        probe = nxt
-    if not converged:
-        raise ErgodicityError("power iteration did not converge (chain appears periodic)")
-    if np.abs(mu - probe).max() > 1e-8:
-        raise ErgodicityError(
-            "linear solve and power iteration disagree "
-            f"(max gap {np.abs(mu - probe).max():.3e}); chain appears non-ergodic"
-        )
     if np.any(mu <= 1e-12):
         raise ErgodicityError("stationary distribution has (near-)zero mass states")
     return mu
@@ -277,20 +269,22 @@ def projection_matrix(features: FeatureMatrix, mu: np.ndarray) -> np.ndarray:
 
 
 def projected_fixed_point_oracle(
-    mdp: Mdp, policy: Policy, features: FeatureMatrix, n: int = 1
+    mdp: Mdp, policy: Policy, features: FeatureMatrix, n: int = 1, mu: np.ndarray | None = None
 ) -> np.ndarray:
     """Solution v of the projected n-step fixed-point equation.
 
     Derivation: eliminating the projection from Phi v = Proj((T^pi)^n Phi v)
     leaves the d x d linear system
         Phi^T M (I - gamma^n (P^pi)^n) Phi v = Phi^T M r^(n),
-    with M = diag(mu^pi). The solution is verified against the projected
+    with M = diag(mu^pi); `mu` passes in the policy's stationary distribution
+    if the caller has it. The solution is verified against the projected
     operator directly before being returned.
     """
     if n < 1:
         raise ValueError("step count n must be >= 1")
     p_pi = policy_transition_matrix(mdp, policy)
-    mu = stationary_distribution(p_pi)
+    if mu is None:
+        mu = stationary_distribution(p_pi)
     phi = features.phi
     p_n = np.linalg.matrix_power(p_pi, n)
     m_phi = mu[:, None] * phi

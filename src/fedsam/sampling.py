@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ErgodicityError
-from .mdp import Mdp, Policy, cdf_table
+from .mdp import Mdp, Policy, cdf_table, eigen_moduli, stationary_distribution
 
 # Stream tags keep the independent random streams of one run disjoint.
 TAG_NOISE = 1
@@ -116,31 +115,25 @@ class MixingEstimate:
         return int(math.ceil(2.0 * math.log(alpha) / math.log(self.rho)))
 
 
-def mixing_diagnostics(p_pi: np.ndarray) -> MixingEstimate:
-    """Spectral mixing estimate for a row-stochastic matrix."""
-    from .mdp import stationary_distribution  # deferred to avoid import cycle
+def mixing_diagnostics(p_pi: np.ndarray, *, mu=None, moduli=None, rows=None) -> MixingEstimate:
+    """Spectral mixing estimate for a row-stochastic matrix.
 
+    A caller that has them passes the `eigen_moduli` of p_pi and the mu that
+    `stationary_distribution(p_pi, moduli)` returned (which also rejects
+    chains with rho near 1). `rows` replaces p_pi's rows in the
+    total-variation prefactor, for a chain with p_pi's nonzero spectrum whose
+    total variation at t=1 is that of `rows` from mu (the Q-learning (s, a)
+    chain, see `AlgorithmInstance`).
+    """
     p_pi = np.asarray(p_pi, dtype=float)
-    moduli = np.sort(np.abs(np.linalg.eigvals(p_pi)))[::-1]
+    if moduli is None:
+        moduli = eigen_moduli(p_pi)
+    if mu is None:
+        mu = stationary_distribution(p_pi, moduli)
     rho = float(moduli[1]) if len(moduli) > 1 else 0.0
-    if rho >= 1.0 - 1e-12:
-        raise ErgodicityError(
-            f"second eigenvalue modulus {rho:.12f} is (near-)1: chain close to periodic"
-        )
     if rho < 1e-15:
         rho = 0.0
-    mu = stationary_distribution(p_pi)
-    tv_at_1 = max(total_variation(p_pi[s], mu) for s in range(p_pi.shape[0]))
+    rows = p_pi if rows is None else rows
+    tv_at_1 = 0.5 * float(np.abs(rows - mu).sum(axis=1).max())
     m_bar = tv_at_1 / rho if rho > 0.0 else 0.0
     return MixingEstimate(rho=rho, m_bar=m_bar)
-
-
-def state_action_kernel(mdp: Mdp, behavior: Policy) -> np.ndarray:
-    """Row-stochastic kernel of the (s,a) chain: P[(s,a),(s',a')] = P(s'|s,a) pi(a'|s')."""
-    n_sa = mdp.n_states * mdp.n_actions
-    kernel = np.zeros((n_sa, n_sa))
-    for s in range(mdp.n_states):
-        for a in range(mdp.n_actions):
-            row = mdp.transition[s, a][:, None] * behavior.probs
-            kernel[s * mdp.n_actions + a] = row.reshape(n_sa)
-    return kernel

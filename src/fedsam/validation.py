@@ -38,6 +38,7 @@ from .harness import (
     k_trend_z,
     persist,
     sweep,
+    worker_count,
 )
 from .mdp import (
     FeatureMatrix,
@@ -472,6 +473,7 @@ def check_single_node_convergence(
     seed: int = DEFAULT_SEED, n_seeds: int = 20, workers: int = 1
 ) -> CheckResult:
     results = {}
+    workers = worker_count(workers)
     for kind in (OFF_POLICY_TD_TABULAR, Q_LEARNING):
         tasks = [(kind, seed, seed + 40 + s) for s in range(n_seeds)]
         if workers > 1:

@@ -25,6 +25,7 @@ from fedsam.algorithms import (
     td_contraction_factor,
     theory_constants,
 )
+from fedsam.errors import ErgodicityError
 from fedsam.harness import GeneratorParams, generate_instance
 from fedsam.mdp import FeatureMatrix, Mdp, Policy
 from fedsam.sampling import AgentChain, stream
@@ -134,6 +135,15 @@ class TestInstanceValidation:
             AlgorithmInstance(
                 kind=ON_POLICY_TD_LFA, mdp=good.mdp, target=good.target,
                 behaviors=[other], features=good.features,
+            )
+
+    def test_q_learning_rejects_unvisited_state_action_pairs(self):
+        good = generate_instance(Q_LEARNING, GeneratorParams(n_states=3), seed=0)
+        greedy = np.zeros((3, 2))
+        greedy[:, 0] = 1.0
+        with pytest.raises(ErgodicityError, match="zero mass"):
+            AlgorithmInstance(
+                kind=Q_LEARNING, mdp=good.mdp, target=good.target, behaviors=[Policy(greedy)]
             )
 
     def test_q_learning_single_transition_windows(self):
@@ -358,6 +368,34 @@ class TestTheoryConstants:
         assert spectral_radius_at_beta(inst, beta) <= 0.99
         if beta > 2.0 ** -10:
             assert spectral_radius_at_beta(inst, beta / 2) > 0.99
+
+
+class TestLfaLipschitzClosedForm:
+    """The closed-form A1 equals the maximum of the exact per-pair 2-norms, bit for bit."""
+
+    @staticmethod
+    def pairwise_norm_max(inst) -> float:
+        # the S^2 loop the closed form replaced
+        phi, n = inst.features.phi, inst.n_step
+        gamma, beta = inst.mdp.gamma, float(inst.beta)
+        a_bound = 0.0
+        for s0 in range(inst.mdp.n_states):
+            for sn in range(inst.mdp.n_states):
+                mat = np.eye(inst.features.d) + np.outer(phi[s0], (gamma**n) * phi[sn] - phi[s0]) / beta
+                a_bound = max(a_bound, float(np.linalg.norm(mat, 2)))
+        return a_bound
+
+    @pytest.mark.parametrize("n_states,d,n_step,seeds", [
+        (5, 1, 1, range(8)), (5, 2, 2, range(8)), (5, 5, 1, range(4)),
+        (50, 1, 1, range(2)), (50, 3, 2, range(2)), (200, 4, 1, range(1)),
+    ])
+    def test_bit_equal_to_pairwise_norms(self, n_states, d, n_step, seeds):
+        for seed in seeds:
+            params = GeneratorParams(n_states=n_states, d=d, n_step=n_step, gamma=0.9)
+            inst = generate_instance(ON_POLICY_TD_LFA, params, seed=seed)
+            tc = theory_constants(inst)
+            assert tc.a1 == self.pairwise_norm_max(inst)
+            assert tc.a2 == tc.a1
 
 
 class TestSingleNodeRunner:

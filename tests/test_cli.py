@@ -137,6 +137,12 @@ class TestRunAndSweep:
         for name in ("sweep.meta.json", "sweep.results.csv", "sweep.series.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_parallel_below_one_exits_2(self, tmp_path, capsys, value):
+        assert run_cli("sweep", "--out", str(tmp_path), "--parallel", value) == 2
+        assert "--parallel" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_mistyped_override_exits_2(self, tmp_path):
         assert run_cli("sweep", "--out", str(tmp_path), "--set", "horizon=notanumber") == 2
 

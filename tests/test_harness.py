@@ -1,13 +1,23 @@
 """Generators, trials, sweeps, the scalar recursion study, persistence."""
 
 import dataclasses
+import errno
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedsam.algorithms import OFF_POLICY_TD_TABULAR, ON_POLICY_TD_LFA, Q_LEARNING, theory_constants
+from fedsam.algorithms import (
+    OFF_POLICY_TD_TABULAR,
+    ON_POLICY_TD_LFA,
+    Q_LEARNING,
+    AlgorithmInstance,
+    theory_constants,
+)
+from fedsam import harness
 from fedsam.harness import (
     Cell,
     ExperimentSpec,
@@ -24,6 +34,7 @@ from fedsam.harness import (
     speedup_slope,
     sub_instance,
     sweep,
+    worker_count,
 )
 from fedsam.mdp import policy_transition_matrix, stationary_distribution
 
@@ -50,6 +61,10 @@ def trial_key(t):
     d = dataclasses.asdict(t)
     d.pop("wall_ms")
     return d
+
+
+def trial_key_list(result):
+    return [trial_key(t) for t in result.trials]
 
 
 class TestGenerator:
@@ -131,6 +146,23 @@ class TestRunTrial:
         assert result.t_hat == -1 and math.isnan(result.mse)
         assert result.error_series == []
 
+    def test_nonpositive_c_out_fallback_is_reported(self):
+        params = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.5, n_agents=2)
+        inst = generate_instance(OFF_POLICY_TD_TABULAR, params, 2024)
+        cell = Cell(2, 1, 50.0, 200)
+        assert round(theory_constants(inst).c_out(cell.alpha), 2) == -0.34
+        with pytest.warns(RuntimeWarning) as record:
+            run_trial(inst, cell, 0, 2024)
+        message = str(record[0].message)
+        assert "cell (2, 1, 50.0, 200)" in message
+        assert "c_out = -0.34" in message and "alpha_eff = 50.0" in message
+
+    def test_positive_c_out_is_used_silently(self):
+        inst = generate_instance(OFF_POLICY_TD_TABULAR, SMALL, 2024)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_trial(inst, Cell(4, 1, 0.1, 50), 0, 2024)
+
     def test_single_node_five_state_td_converges(self):
         params = GeneratorParams(n_states=5, n_actions=2, branching=2, gamma=0.3, d=2, n_step=1, n_agents=1)
         inst = generate_instance(OFF_POLICY_TD_TABULAR, params, seed=2024)
@@ -182,6 +214,26 @@ class TestSweep:
         spec = small_spec()
         result = sweep(spec)
         assert len(result.trials) == len(spec.cells()) * spec.replications
+
+    def test_worker_count_is_at_most_one_per_cpu(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        assert [worker_count(n) for n in (1, 2, 8)] == [1, 2, 2]
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert worker_count(8) == 1
+
+    def test_sweep_starts_clamped_pool(self, monkeypatch):
+        started = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kw):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kw)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        spec = small_spec(n_agents_grid=[2], sync_periods=[1], replications=2)
+        assert trial_key_list(sweep(spec, workers=8)) == trial_key_list(sweep(spec, workers=1))
+        assert started == [2]
 
     def test_parallel_equals_sequential(self, tmp_path):
         spec = small_spec()
@@ -305,6 +357,41 @@ class TestPersistence:
         assert len(rows) - 1 == len(spec.cells()) * spec.replications
 
 
+class TestAtomicPersist:
+    def test_failed_write_keeps_previous_file_and_leaves_no_partial(self, tmp_path, monkeypatch):
+        paths = persist(sweep(small_spec(checkpoint_stride=5)), tmp_path, name="at")
+        before = paths["series"].read_bytes()
+
+        class FullDisk:
+            """A file that takes 1000 characters, then fails like a full disk."""
+
+            def __init__(self, f):
+                self.f, self.room = f, 1000
+
+            def write(self, text):
+                if len(text) > self.room:
+                    self.f.write(text[: self.room])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(text)
+                return self.f.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        def open_with_full_disk(path, *args, **kw):
+            f = open(path, *args, **kw)
+            return FullDisk(f) if "series" in Path(path).name else f
+
+        monkeypatch.setattr(harness, "open", open_with_full_disk, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            persist(sweep(small_spec(checkpoint_stride=5, master_seed=6)), tmp_path, name="at")
+        assert paths["series"].read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths.values())
+
+
 class TestSubInstance:
     def test_restriction_keeps_oracle_and_beta(self):
         inst = generate_instance(ON_POLICY_TD_LFA, SMALL, seed=4)
@@ -317,3 +404,21 @@ class TestSubInstance:
         inst = generate_instance(Q_LEARNING, SMALL, seed=4)
         with pytest.raises(ValueError):
             sub_instance(inst, 10)
+
+    @pytest.mark.parametrize("kind", (ON_POLICY_TD_LFA, OFF_POLICY_TD_TABULAR, Q_LEARNING))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_slice_equals_instance_built_from_scratch(self, kind, n):
+        full = generate_instance(kind, SMALL, seed=6)
+        sliced = sub_instance(full, n)
+        scratch = AlgorithmInstance(
+            kind=kind, mdp=full.mdp, target=full.target, behaviors=full.behaviors[:n],
+            n_step=full.n_step, features=full.features,
+        )
+        assert sliced.behaviors == scratch.behaviors
+        assert [mu.tobytes() for mu in sliced.stationary] == [mu.tobytes() for mu in scratch.stationary]
+        assert sliced.agent_mixing == scratch.agent_mixing
+        assert sliced.mixing == scratch.mixing
+        assert sliced.fixed_point.tobytes() == scratch.fixed_point.tobytes()
+        assert sliced.beta == scratch.beta
+        assert theory_constants(sliced) == theory_constants(scratch)
+        assert full.n_agents == SMALL.n_agents  # the full instance is left as it was

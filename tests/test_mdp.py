@@ -120,6 +120,20 @@ class TestStationaryDistribution:
         with pytest.raises(ErgodicityError):
             stationary_distribution(np.eye(3))
 
+    def test_three_cycle_rejected(self):
+        cycle = np.roll(np.eye(3), 1, axis=1)
+        with pytest.raises(ErgodicityError):
+            stationary_distribution(cycle)
+
+    def test_two_block_chain_rejected(self):
+        # two closed, individually ergodic classes: eigenvalue 1 is repeated
+        block = np.array([[0.6, 0.4], [0.3, 0.7]])
+        chain = np.zeros((4, 4))
+        chain[:2, :2] = block
+        chain[2:, 2:] = block[::-1]
+        with pytest.raises(ErgodicityError):
+            stationary_distribution(chain)
+
     def test_invariance_residual_on_random_chains(self):
         for seed in range(20):
             mdp = random_mdp(6, 2, 0.9, seed=seed, branching=3)

@@ -5,17 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsam.algorithms import Q_LEARNING
 from fedsam.errors import ErgodicityError
-from fedsam.harness import GeneratorParams, generate_mdp
+from fedsam.harness import GeneratorParams, generate_instance, generate_mdp
 from fedsam.mdp import Mdp, Policy, policy_transition_matrix, stationary_distribution
 from fedsam.sampling import (
     AgentChain,
     MixingEstimate,
     mixing_diagnostics,
-    state_action_kernel,
     stream,
     total_variation,
 )
+
+
+def state_action_kernel(mdp: Mdp, behavior: Policy) -> np.ndarray:
+    """Reference (S A)^2 kernel of the (s,a) chain: P[(s,a),(s',a')] = P(s'|s,a) pi(a'|s')."""
+    n_sa = mdp.n_states * mdp.n_actions
+    kernel = np.zeros((n_sa, n_sa))
+    for s in range(mdp.n_states):
+        for a in range(mdp.n_actions):
+            row = mdp.transition[s, a][:, None] * behavior.probs
+            kernel[s * mdp.n_actions + a] = row.reshape(n_sa)
+    return kernel
 
 
 def small_mdp(seed=0, n_states=4, n_actions=2, gamma=0.8):
@@ -233,3 +244,23 @@ class TestStateActionKernel:
         mu_sa = stationary_distribution(kernel).reshape(4, 2)
         mu_s = stationary_distribution(policy_transition_matrix(mdp, pol))
         assert np.abs(mu_sa - mu_s[:, None] * pol.probs).max() <= 1e-9
+
+
+class TestStateActionMixing:
+    """Q-learning instances take the (s,a) chain's mixing from the S x S kernel."""
+
+    @pytest.mark.parametrize("n_states,n_actions,seed", [(4, 2, 0), (6, 3, 1), (40, 2, 2), (60, 4, 3)])
+    def test_matches_full_kernel(self, n_states, n_actions, seed):
+        params = GeneratorParams(n_states=n_states, n_actions=n_actions, branching=3,
+                                 n_agents=3, d=1)
+        inst = generate_instance(Q_LEARNING, params, seed)
+        for behavior, mix in zip(inst.behaviors, inst.agent_mixing):
+            kernel = state_action_kernel(inst.mdp, behavior)
+            # the pre-factorisation estimate: spectrum, stationary law and
+            # total variation all of the (S A)^2 kernel
+            moduli = np.sort(np.abs(np.linalg.eigvals(kernel)))[::-1]
+            mu_sa = stationary_distribution(kernel)
+            rho = float(moduli[1])
+            tv_at_1 = max(total_variation(kernel[i], mu_sa) for i in range(kernel.shape[0]))
+            assert abs(mix.rho - rho) <= 1e-12
+            assert abs(mix.m_bar - tv_at_1 / rho) <= 1e-12
