@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
@@ -263,71 +264,89 @@ def build_problem(instance: AlgorithmInstance) -> FedSamProblem:
     the raw update trajectory exactly (up to float reassociation).
     """
     if instance.kind == ON_POLICY_TD_LFA:
-        return _build_lfa_problem(instance)
+        return LinearTdProblem(instance)
     if instance.kind == OFF_POLICY_TD_TABULAR:
-        return _build_offpolicy_problem(instance)
-    return _build_q_problem(instance)
+        return OffPolicyTdProblem(instance)
+    return QLearningProblem(instance)
 
 
-def _make_noise_factory(instance: AlgorithmInstance, window_n: int):
-    def make_noise(agent_id: int, rng: np.random.Generator) -> AgentChain:
-        return AgentChain(
-            instance.mdp, instance.behaviors[agent_id], instance.xi, window_n, rng, agent_id
-        )
+class _InstanceProblem(FedSamProblem):
+    """An instance's FedSamProblem, with the operators and the noise as methods.
 
-    return make_noise
+    Subclasses hold arrays and plain lists only, so a built problem pickles.
+    The fused updates of the tabular kinds read Python floats (per-state rows
+    as lists, (s, a, s') tables through `.item`): the same doubles as the
+    operators read, so the same bits.
+    """
+
+    def __init__(self, instance: AlgorithmInstance, window_n: int, norm_kind: str,
+                 initial_theta: np.ndarray, step_scale: float = 1.0):
+        self.mdp, self.behaviors, self.xi = instance.mdp, instance.behaviors, instance.xi
+        self.window_n = window_n
+        self.dim, self.n_agents = instance.dim, instance.n_agents
+        self.norm_kind, self.initial_theta, self.step_scale = norm_kind, initial_theta, step_scale
+        self.check_zero_fixed_point = True
+        # not the dataclass __init__: it would store the operators over the methods
+        self.__post_init__()
+
+    def make_noise(self, agent_id: int, rng: np.random.Generator) -> AgentChain:
+        return AgentChain(self.mdp, self.behaviors[agent_id], self.xi, self.window_n, rng, agent_id)
 
 
-def _build_lfa_problem(instance: AlgorithmInstance) -> FedSamProblem:
-    mdp, features, n = instance.mdp, instance.features, instance.n_step
-    phi = features.phi
-    gamma, beta = mdp.gamma, float(instance.beta)
-    gamma_n = gamma ** n
-    inv_beta = 1.0 / beta
-    v_pi = instance.fixed_point
+class LinearTdProblem(_InstanceProblem):
+    """On-policy n-step TD with linear features; every coordinate moves, so the
+    generic update is kept."""
 
-    def apply_g(_i: int, theta: np.ndarray, y) -> np.ndarray:
+    def __init__(self, instance: AlgorithmInstance):
+        mdp, n = instance.mdp, instance.n_step
+        self.phi, self.gamma = instance.features.phi, mdp.gamma
+        self.gamma_n, self.inv_beta = mdp.gamma ** n, 1.0 / float(instance.beta)
+        # phi(s)'v_pi per state, each the same dot the operator used to take
+        self.phi_v = [self.phi[s] @ instance.fixed_point for s in range(mdp.n_states)]
+        super().__init__(instance, n, NORM_L2, -instance.fixed_point, float(instance.beta))
+
+    def apply_g(self, _i: int, theta: np.ndarray, y) -> np.ndarray:
         states, _ = y
+        phi = self.phi
         s0, sn = int(states[0]), int(states[-1])
-        scale = gamma_n * (phi[sn] @ theta) - (phi[s0] @ theta)
-        return theta + (inv_beta * scale) * phi[s0]
+        scale = self.gamma_n * (phi[sn] @ theta) - (phi[s0] @ theta)
+        return theta + (self.inv_beta * scale) * phi[s0]
 
-    def apply_b(_i: int, y) -> np.ndarray:
+    def apply_b(self, _i: int, y) -> np.ndarray:
         states, actions = y
+        gamma, reward, phi_v = self.gamma, self.mdp.reward, self.phi_v
         acc = 0.0
         g_pow = 1.0
-        for l in range(n):
+        for l in range(self.window_n):
             s, a, s2 = int(states[l]), int(actions[l]), int(states[l + 1])
-            acc += g_pow * (mdp.reward[s, a] + gamma * (phi[s2] @ v_pi) - (phi[s] @ v_pi))
+            acc += g_pow * (reward[s, a] + gamma * phi_v[s2] - phi_v[s])
             g_pow *= gamma
-        return (inv_beta * acc) * phi[int(states[0])]
-
-    return FedSamProblem(
-        dim=instance.dim,
-        n_agents=instance.n_agents,
-        apply_g=apply_g,
-        apply_b=apply_b,
-        make_noise=_make_noise_factory(instance, n),
-        norm_kind=NORM_L2,
-        initial_theta=-v_pi,
-        step_scale=beta,
-    )
+        return (self.inv_beta * acc) * self.phi[int(states[0])]
 
 
-def _build_offpolicy_problem(instance: AlgorithmInstance) -> FedSamProblem:
-    mdp, n = instance.mdp, instance.n_step
-    gamma = mdp.gamma
-    v_pi = instance.fixed_point
-    ratios = [importance_ratio_table(instance.target, b) for b in instance.behaviors]
+class OffPolicyTdProblem(_InstanceProblem):
+    """Tabular n-step TD reweighted by each agent's importance ratios.
 
-    def apply_g(i: int, theta: np.ndarray, y) -> np.ndarray:
+    A step moves only the entry at S_t, so `update` writes that entry alone.
+    """
+
+    def __init__(self, instance: AlgorithmInstance):
+        mdp, v_pi = instance.mdp, instance.fixed_point
+        self.gamma = mdp.gamma
+        self.ratios = [importance_ratio_table(instance.target, b) for b in instance.behaviors]
+        # the temporal difference at the fixed point depends on (s, a, s') only
+        self.td = mdp.reward[:, :, None] + mdp.gamma * v_pi[None, None, :] - v_pi[:, None, None]
+        self._ratio_rows = [r.tolist() for r in self.ratios]
+        super().__init__(instance, instance.n_step, NORM_SUP, -v_pi)
+
+    def apply_g(self, i: int, theta: np.ndarray, y) -> np.ndarray:
         states, actions = y
+        gamma, table = self.gamma, self.ratios[i]
         out = theta.copy()
-        table = ratios[i]
         acc = 0.0
         g_pow = 1.0
         prod = 1.0
-        for l in range(n):
+        for l in range(self.window_n):
             s, a, s2 = int(states[l]), int(actions[l]), int(states[l + 1])
             prod *= table[s, a]
             acc += g_pow * prod * (gamma * theta[s2] - theta[s])
@@ -335,65 +354,85 @@ def _build_offpolicy_problem(instance: AlgorithmInstance) -> FedSamProblem:
         out[int(states[0])] += acc
         return out
 
-    def apply_b(i: int, y) -> np.ndarray:
+    def apply_b(self, i: int, y) -> np.ndarray:
         states, actions = y
-        out = np.zeros(mdp.n_states)
-        table = ratios[i]
+        gamma, table, td = self.gamma, self.ratios[i], self.td
+        out = np.zeros(self.dim)
         acc = 0.0
         g_pow = 1.0
         prod = 1.0
-        for l in range(n):
+        for l in range(self.window_n):
             s, a, s2 = int(states[l]), int(actions[l]), int(states[l + 1])
             prod *= table[s, a]
-            acc += g_pow * prod * (mdp.reward[s, a] + gamma * v_pi[s2] - v_pi[s])
+            acc += g_pow * prod * td[s, a, s2]
             g_pow *= gamma
         out[int(states[0])] = acc
         return out
 
-    return FedSamProblem(
-        dim=instance.dim,
-        n_agents=instance.n_agents,
-        apply_g=apply_g,
-        apply_b=apply_b,
-        make_noise=_make_noise_factory(instance, n),
-        norm_kind=NORM_SUP,
-        initial_theta=-v_pi,
-    )
-
-
-def _build_q_problem(instance: AlgorithmInstance) -> FedSamProblem:
-    mdp = instance.mdp
-    gamma = mdp.gamma
-    n_actions = mdp.n_actions
-    q_star = instance.fixed_point
-    q_star_max = q_star.max(axis=1)
-    # b depends on (s, a, s') only; precompute the whole table
-    b_table = mdp.reward[:, :, None] + gamma * q_star_max[None, None, :] - q_star[:, :, None]
-
-    def apply_g(_i: int, theta: np.ndarray, y) -> np.ndarray:
+    def update(self, i: int, theta: np.ndarray, y, alpha: float) -> np.ndarray:
+        """The generic step at S_t, with apply_g's and apply_b's sums taken in one pass."""
         states, actions = y
+        gamma, table, td, item = self.gamma, self._ratio_rows[i], self.td.item, theta.item
+        acc_g = acc_b = 0.0
+        g_pow = 1.0
+        prod = 1.0
+        for l in range(self.window_n):
+            s, a, s2 = states[l], actions[l], states[l + 1]
+            prod *= table[s][a]
+            weight = g_pow * prod
+            acc_g += weight * (gamma * item(s2) - item(s))
+            acc_b += weight * td(s, a, s2)
+            g_pow *= gamma
+        s0 = states[0]
+        th = item(s0)
+        theta[s0] = th + alpha * (((th + acc_g) - th) + acc_b)
+        return theta
+
+
+class QLearningProblem(_InstanceProblem):
+    """Tabular Q-learning on single transitions.
+
+    A step moves only the entry (S_t, A_t), so `update` writes that entry alone.
+    """
+
+    def __init__(self, instance: AlgorithmInstance):
+        mdp, q_star = instance.mdp, instance.fixed_point
+        self.gamma, self.n_actions = mdp.gamma, mdp.n_actions
+        self.q_star = q_star
+        self.gamma_q_max = mdp.gamma * q_star.max(axis=1)
+        # b depends on (s, a, s') only; precompute the whole table
+        self.b_table = mdp.reward[:, :, None] + self.gamma_q_max[None, None, :] - q_star[:, :, None]
+        self._q_rows, self._gamma_q_max = q_star.tolist(), self.gamma_q_max.tolist()
+        super().__init__(instance, 1, NORM_SUP, -q_star.reshape(-1))
+
+    def apply_g(self, _i: int, theta: np.ndarray, y) -> np.ndarray:
+        states, actions = y
+        n_actions = self.n_actions
         s, a, s2 = int(states[0]), int(actions[0]), int(states[1])
         out = theta.copy()
-        shifted_max = (theta[s2 * n_actions:(s2 + 1) * n_actions] + q_star[s2]).max()
-        out[s * n_actions + a] += gamma * shifted_max - theta[s * n_actions + a] - gamma * q_star_max[s2]
+        shifted_max = (theta[s2 * n_actions:(s2 + 1) * n_actions] + self.q_star[s2]).max()
+        out[s * n_actions + a] += self.gamma * shifted_max - theta[s * n_actions + a] - self.gamma_q_max[s2]
         return out
 
-    def apply_b(_i: int, y) -> np.ndarray:
+    def apply_b(self, _i: int, y) -> np.ndarray:
         states, actions = y
         s, a, s2 = int(states[0]), int(actions[0]), int(states[1])
-        out = np.zeros(mdp.n_states * n_actions)
-        out[s * n_actions + a] = b_table[s, a, s2]
+        out = np.zeros(self.dim)
+        out[s * self.n_actions + a] = self.b_table[s, a, s2]
         return out
 
-    return FedSamProblem(
-        dim=instance.dim,
-        n_agents=instance.n_agents,
-        apply_g=apply_g,
-        apply_b=apply_b,
-        make_noise=_make_noise_factory(instance, 1),
-        norm_kind=NORM_SUP,
-        initial_theta=-q_star.reshape(-1),
-    )
+    def update(self, _i: int, theta: np.ndarray, y, alpha: float) -> np.ndarray:
+        """The generic step at (S_t, A_t), without the full-vector temporaries."""
+        states, actions = y
+        n_actions = self.n_actions
+        s, a, s2 = states[0], actions[0], states[1]
+        lo = s2 * n_actions
+        shifted_max = max(map(add, theta[lo:lo + n_actions].tolist(), self._q_rows[s2]))
+        idx = s * n_actions + a
+        th = theta.item(idx)
+        acc = self.gamma * shifted_max - th - self._gamma_q_max[s2]
+        theta[idx] = th + alpha * (((th + acc) - th) + self.b_table.item(s, a, s2))
+        return theta
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,10 @@ class FedSamProblem:
 
     apply_g(i, theta, y) and apply_b(i, y) evaluate the agent-i operator and
     additive noise; make_noise(i, rng) builds the agent's noise process (an
-    object whose .step() yields successive y values). The operators must
-    satisfy G(i, 0, y) = 0 — zero is the common fixed point — which is probed
-    with random samples at construction time.
+    object whose .step() yields successive y values, and whose optional
+    .steps(k) yields the next k at once). The engine steps through `update`.
+    The operators must satisfy G(i, 0, y) = 0 — zero is the common fixed
+    point — which is probed with random samples at construction time.
     """
 
     dim: int
@@ -83,6 +84,14 @@ class FedSamProblem:
 
     def norm(self, x: np.ndarray) -> float:
         return norm(x, self.norm_kind)
+
+    def update(self, agent: int, theta: np.ndarray, y, alpha: float) -> np.ndarray:
+        """One local step, theta + alpha (G(theta, y) - theta + b(y)).
+
+        The engine owns theta and continues from the returned array, so an
+        override may write into theta and return it.
+        """
+        return theta + alpha * (self.apply_g(agent, theta, y) - theta + self.apply_b(agent, y))
 
 
 @dataclass
@@ -167,27 +176,33 @@ def sync_errors(thetas: np.ndarray, norm_kind: str = NORM_SUP) -> tuple[float, f
     return float(dists.mean()), float((dists**2).mean())
 
 
-def _advance_agent(problem, agent, theta, noise, t_start, t_stop, alpha, record):
-    """Advance one agent through [t_start, t_stop); returns its end state and snapshots.
+def _advance_agent(update, agent, theta, windows, t_start, alpha, record):
+    """Advance one agent through the block's windows, from step t_start.
 
-    Never mutates the incoming theta (each update rebinds), so the caller can
-    pass its row without copying. The finite guard sums the parameter: any
-    non-finite entry, or a finite overflow, poisons the sum. A diverged agent
-    returns (None, t) with t its failing step.
+    Returns the agent's end state and its snapshots at the steps in `record`.
+    `update` may write into theta, so the caller passes a row it owns. The
+    finite guard sums the parameter: any non-finite entry, or a finite
+    overflow, poisons the sum. A diverged agent returns (None, t) with t its
+    failing step.
     """
     snapshots = {}
-    isfinite = math.isfinite
-    apply_g, apply_b, step = problem.apply_g, problem.apply_b, noise.step
-    with np.errstate(over="ignore", invalid="ignore"):  # blow-ups become the diverged marker
-        for t in range(t_start, t_stop):
-            y = step()
-            theta = theta + alpha * (apply_g(agent, theta, y) - theta + apply_b(agent, y))
-            if not isfinite(float(theta.sum())):
-                return None, t
-            done = t + 1
-            if done < t_stop and done in record:
-                snapshots[done] = theta.copy()
+    isfinite, row_sum = math.isfinite, np.add.reduce
+    for t, y in enumerate(windows, t_start):
+        theta = update(agent, theta, y, alpha)
+        if not isfinite(row_sum(theta)):
+            return None, t
+        if t + 1 in record:
+            snapshots[t + 1] = theta.copy()
     return theta, snapshots
+
+
+def _block_draw(noise):
+    """k -> the noise's next k values: its `steps`, or k lazy `step()` calls."""
+    steps = getattr(noise, "steps", None)
+    if steps is not None:
+        return steps
+    step = noise.step
+    return lambda k: (step() for _ in range(k))
 
 
 def run_fedsam(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
@@ -214,7 +229,10 @@ def run_fedsam(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
     if theta0 is None:
         theta0 = np.zeros(problem.dim)
     thetas = np.tile(theta0, (n_agents, 1))
-    noises = [problem.make_noise(i, stream(config.master_seed, TAG_NOISE, i)) for i in range(n_agents)]
+    draws = [
+        _block_draw(problem.make_noise(i, stream(config.master_seed, TAG_NOISE, i)))
+        for i in range(n_agents)
+    ]
 
     series: dict[int, tuple[np.ndarray, float, float]] = {}
     output_theta: np.ndarray | None = None
@@ -234,29 +252,32 @@ def run_fedsam(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
 
     record(0, thetas)
 
+    update = problem.update
     t = 0
-    while t < big_t:
-        t_stop = min((t // k + 1) * k, big_t)
-        lo = bisect_right(sorted_schedule, t)
-        hi = bisect_left(sorted_schedule, t_stop)
-        wanted = set(sorted_schedule[lo:hi])
-        if t < t_hat < t_stop:
-            wanted.add(t_hat)
-        results = [
-            _advance_agent(problem, i, thetas[i], noises[i], t, t_stop, alpha_eff, wanted)
-            for i in range(n_agents)
-        ]
-        diverged = [(t_fail, agent) for agent, (end, t_fail) in enumerate(results) if end is None]
-        if diverged:
-            raise DivergenceError(*min(diverged))
-        for agent, (theta_end, _) in enumerate(results):
-            thetas[agent] = theta_end
-        for t_mid in sorted(wanted):
-            record(t_mid, np.stack([snaps[t_mid] for _, snaps in results]))
-        if t_stop % k == 0:
-            thetas[:] = thetas.mean(axis=0)  # in-place sync barrier
-        record(t_stop, thetas)
-        t = t_stop
+    # blow-ups become the diverged marker; entered once, not once per block
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < big_t:
+            t_stop = min((t // k + 1) * k, big_t)
+            lo = bisect_right(sorted_schedule, t)
+            hi = bisect_left(sorted_schedule, t_stop)
+            wanted = set(sorted_schedule[lo:hi])
+            if t < t_hat < t_stop:
+                wanted.add(t_hat)
+            results = [
+                _advance_agent(update, i, thetas[i], draw(t_stop - t), t, alpha_eff, wanted)
+                for i, draw in enumerate(draws)
+            ]
+            diverged = [(t_fail, agent) for agent, (end, t_fail) in enumerate(results) if end is None]
+            if diverged:
+                raise DivergenceError(*min(diverged))
+            for agent, (theta_end, _) in enumerate(results):
+                thetas[agent] = theta_end
+            for t_mid in sorted(wanted):
+                record(t_mid, np.stack([snaps[t_mid] for _, snaps in results]))
+            if t_stop % k == 0:
+                thetas[:] = thetas.mean(axis=0)  # in-place sync barrier
+            record(t_stop, thetas)
+            t = t_stop
 
     ts = np.array(sorted(series), dtype=np.int64)
     return RunTrace(

@@ -14,7 +14,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import chain, product
 from pathlib import Path
@@ -417,25 +416,17 @@ class SweepResult:
         return out
 
 
-_Solved = dict[int, tuple[AlgorithmInstance, TheoryConstants]]
 _SweepSetup = dict[int, tuple[AlgorithmInstance, FedSamProblem, TheoryConstants]]
 
 
-def _solve_setup(spec: ExperimentSpec) -> _Solved:
-    """{N: (instance, constants)} for every N of the grid: the costly part of the set-up."""
+def _sweep_setup(spec: ExperimentSpec) -> _SweepSetup:
+    """{N: (instance, problem, constants)} for every N of the grid."""
     full = build_instance_for_spec(spec)
-    solved = {}
+    setup = {}
     for n in sorted(set(spec.n_agents_grid)):
         instance = sub_instance(full, n)
-        solved[n] = (instance, theory_constants(instance))
-    return solved
-
-
-def _with_problems(solved: _Solved) -> _SweepSetup:
-    """Add each N's problem. Problems hold closures and cannot be pickled, so
-    every process that runs trials builds its own, once."""
-    return {n: (instance, build_problem(instance), constants)
-            for n, (instance, constants) in solved.items()}
+        setup[n] = (instance, build_problem(instance), theory_constants(instance))
+    return setup
 
 
 def _run_task(spec: ExperimentSpec, setup: _SweepSetup, cell: Cell, replication: int) -> TrialResult:
@@ -446,13 +437,13 @@ def _run_task(spec: ExperimentSpec, setup: _SweepSetup, cell: Cell, replication:
     )
 
 
-# A worker process's (spec, set-up), built once by the pool initializer.
+# A worker process's (spec, set-up), received once by the pool initializer.
 _worker: tuple[ExperimentSpec, _SweepSetup] | None = None
 
 
-def _init_worker(spec: ExperimentSpec, solved: _Solved) -> None:
+def _init_worker(spec: ExperimentSpec, setup: _SweepSetup) -> None:
     global _worker
-    _worker = (spec, _with_problems(solved))
+    _worker = (spec, setup)
 
 
 def _worker_task(task: tuple[Cell, int]) -> TrialResult:
@@ -467,25 +458,25 @@ def worker_count(requested: int) -> int:
 def sweep(spec: ExperimentSpec, workers: int = 1) -> SweepResult:
     """Run the whole grid with replications; cells x reps execute in parallel.
 
-    Instances and constants are solved once, here; each process that runs
-    trials (this one, or each of `worker_count(workers)` workers) then builds
-    the problems once.
+    Instances, problems and constants are built once, here, and sent as they
+    are to each of `worker_count(workers)` worker processes.
     """
     spec.validate()
     workers = worker_count(workers)
     cells = spec.cells()
-    solved = _solve_setup(spec)
-    instance, constants = solved[max(solved)]
+    setup = _sweep_setup(spec)
+    instance, _, constants = setup[max(setup)]
     _warn_short_horizons(spec, instance)
 
     tasks = [(cell, rep) for cell in cells for rep in range(spec.replications)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(spec, solved)
+            max_workers=workers, initializer=_init_worker, initargs=(spec, setup)
         ) as pool:
             trials = list(pool.map(_worker_task, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
     else:
-        setup = _with_problems(solved)
         trials = [_run_task(spec, setup, cell, rep) for cell, rep in tasks]
 
     stats = _aggregate(cells, trials, spec.replications)

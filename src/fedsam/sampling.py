@@ -67,17 +67,21 @@ class AgentChain:
         for _ in range(n):
             self.advance()
 
+    def _walk(self, state: int, u_action: float, u_state: float) -> tuple[int, int]:
+        """Invert two uniforms into A ~ behavior(.|state) and S' ~ P(.|state, A)."""
+        n_actions, n_states = self._n_actions, self._n_states
+        lo = state * n_actions
+        a = bisect_right(self._policy_cdf, u_action, lo, lo + n_actions) - lo
+        lo = (lo + a) * n_states
+        return a, bisect_right(self._trans_cdf, u_state, lo, lo + n_states) - lo
+
     def advance(self) -> tuple[int, int]:
         """Sample A ~ behavior(.|S_newest), S' ~ P(.|S_newest, A) and shift.
 
         Until the window holds n transitions it grows instead of shifting.
         Returns the newest (action, state) pair.
         """
-        n_actions, n_states = self._n_actions, self._n_states
-        lo = self.states[-1] * n_actions
-        a = bisect_right(self._policy_cdf, self.rng.random(), lo, lo + n_actions) - lo
-        lo = (lo + a) * n_states
-        s_next = bisect_right(self._trans_cdf, self.rng.random(), lo, lo + n_states) - lo
+        a, s_next = self._walk(self.states[-1], self.rng.random(), self.rng.random())
         drop = 1 if len(self.states) > self.n_step else 0
         self.states = self.states[drop:] + (s_next,)
         if self.n_step:
@@ -89,6 +93,26 @@ class AgentChain:
         window = (self.states, self.actions)
         self.advance()
         return window
+
+    def steps(self, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The windows of k `step()` calls, from one draw of their 2k uniforms.
+
+        Leaves the chain and its generator as those k calls would: the
+        generator yields the same doubles one at a time or as one array. The
+        window is full after construction, so every step shifts it.
+        """
+        u = self.rng.random(2 * k).tolist()
+        walk, keep_actions = self._walk, self.n_step > 0
+        states, actions = self.states, self.actions
+        windows = []
+        for j in range(0, 2 * k, 2):
+            windows.append((states, actions))
+            a, s_next = walk(states[-1], u[j], u[j + 1])
+            states = states[1:] + (s_next,)
+            if keep_actions:
+                actions = actions[1:] + (a,)
+        self.states, self.actions = states, actions
+        return windows
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

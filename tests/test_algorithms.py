@@ -1,9 +1,12 @@
 """Algorithm updates, the shifted reduction, expected operators, constants."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsam.algorithms import (
     KINDS,
@@ -25,6 +28,7 @@ from fedsam.algorithms import (
     td_contraction_factor,
     theory_constants,
 )
+from fedsam.engine import FedRunConfig, FedSamProblem, run_fedsam
 from fedsam.errors import ErgodicityError
 from fedsam.harness import GeneratorParams, generate_instance
 from fedsam.mdp import FeatureMatrix, Mdp, Policy
@@ -240,6 +244,50 @@ class TestShiftedReduction:
                 path.append(theta.copy())
             trajs.append(np.stack(path))
         assert np.abs(trajs[0] - trajs[1]).max() <= 1e-13
+
+
+class TestFusedUpdate:
+    """The tabular kinds' one-coordinate update is the engine's generic step, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from([OFF_POLICY_TD_TABULAR, Q_LEARNING]),
+        seed=st.integers(0, 2**16),
+        n_step=st.integers(1, 3),
+        n_agents=st.integers(1, 4),
+        scale_exp=st.integers(-3, 150),
+        alpha=st.sampled_from([0.0, 0.01, 0.3, 1.0, 50.0]),
+    )
+    def test_bit_equal_to_generic_step(self, kind, seed, n_step, n_agents, scale_exp, alpha):
+        params = GeneratorParams(n_states=5, n_actions=3, branching=3, gamma=0.8,
+                                 n_step=n_step, n_agents=n_agents)
+        inst = generate_instance(kind, params, seed=seed)
+        problem = build_problem(inst)
+        rng = np.random.default_rng(seed)
+        for agent in range(n_agents):  # agents differ in their behaviors and ratio tables
+            for y in problem.make_noise(agent, stream(seed, 1, agent)).steps(20):
+                theta = rng.standard_normal(inst.dim) * 10.0**scale_exp
+                generic = FedSamProblem.update(problem, agent, theta, y, alpha)
+                fused = problem.update(agent, theta.copy(), y, alpha)
+                assert fused.tobytes() == generic.tobytes()
+
+    def test_generic_update_kept_for_linear_features(self):
+        assert build_problem(generate_instance(ON_POLICY_TD_LFA, ACCEPT, seed=3)).update.__func__ \
+            is FedSamProblem.update
+
+
+class TestBuiltProblems:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pickled_problem_runs_bit_identically(self, kind):
+        inst = generate_instance(kind, ACCEPT, seed=5)
+        problem = build_problem(inst)
+        config = FedRunConfig(n_agents=inst.n_agents, sync_period=4, step_size=0.05, horizon=300,
+                              output_c=0.9, master_seed=7, checkpoint_stride=10)
+        runs = [run_fedsam(p, config) for p in (problem, pickle.loads(pickle.dumps(problem)))]
+        for field in ("checkpoint_ts", "theta_bar_series", "delta_series", "omega_series",
+                      "output_theta", "final_theta_bar"):
+            assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
+        assert runs[0].output_index == runs[1].output_index
 
 
 class TestExpectedOperator:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fedsam.algorithms import ON_POLICY_TD_LFA, Q_LEARNING, build_problem
 from fedsam.engine import (
     FedRunConfig,
     FedSamProblem,
@@ -13,6 +14,7 @@ from fedsam.engine import (
     sync_errors,
 )
 from fedsam.errors import DivergenceError
+from fedsam.harness import GeneratorParams, generate_instance
 from fedsam.sampling import stream
 
 
@@ -152,6 +154,18 @@ class TestLocalStep:
         with pytest.raises(DivergenceError) as err:
             traced(prob, n_agents=4, sync_period=50, step_size=0.5, horizon=50)
         assert err.value.step == 17 and err.value.agent == 3
+
+    def test_finite_entries_with_overflowing_sum_diverge(self):
+        # every entry stays finite, but the row sum the guard takes overflows
+        prob = FedSamProblem(
+            dim=2, n_agents=2,
+            apply_g=lambda i, th, y: th,
+            apply_b=lambda i, y: np.full(2, 1e308) if (i, y) == (1, 5) else np.zeros(2),
+            make_noise=lambda i, rng: _StepCounter(),
+        )
+        with pytest.raises(DivergenceError) as err:
+            traced(prob, n_agents=2, sync_period=8, step_size=1.0, horizon=8)
+        assert err.value.step == 5 and err.value.agent == 1
 
 
 class TestSyncAverage:
@@ -371,3 +385,40 @@ class TestNoiseAverageDiagnostic:
         }
         ratio = est[16] / est[1]
         assert abs(ratio * 4.0 - 1.0) <= 0.2
+
+
+class TestWrappedProblems:
+    """Operators and noise assigned on a built problem, as an outside tracer does."""
+
+    @pytest.mark.parametrize("kind", [ON_POLICY_TD_LFA, Q_LEARNING])
+    def test_wrapped_problem_runs_and_makes_noise_through_wrapper(self, kind):
+        params = GeneratorParams(n_states=4, n_actions=2, branching=2, d=2, n_agents=3)
+        inst = generate_instance(kind, params, seed=4)
+        calls = {"apply_g": 0, "apply_b": 0, "make_noise": 0, "step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        problem = build_problem(inst)
+        problem.apply_g = counted("apply_g", problem.apply_g)
+        problem.apply_b = counted("apply_b", problem.apply_b)
+        make_noise = problem.make_noise
+
+        def wrapped_make_noise(agent, rng):
+            noise = make_noise(agent, rng)
+            noise.step = counted("step", noise.step)
+            return noise
+
+        problem.make_noise = counted("make_noise", wrapped_make_noise)
+        cfg = FedRunConfig(n_agents=3, sync_period=4, step_size=0.1, horizon=40, output_c=0.9,
+                           master_seed=2, checkpoint_stride=1)
+        wrapped, plain = run_fedsam(problem, cfg), run_fedsam(build_problem(inst), cfg)
+        assert wrapped.theta_bar_series.tobytes() == plain.theta_bar_series.tobytes()
+        assert calls["make_noise"] == 3
+        # linear features keep the generic step through apply_g and apply_b;
+        # Q-learning's fused step reads its tables directly
+        steps = 3 * 40 if kind == ON_POLICY_TD_LFA else 0
+        assert (calls["apply_g"], calls["apply_b"]) == (steps, steps)

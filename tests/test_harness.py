@@ -1,9 +1,13 @@
 """Generators, trials, sweeps, the scalar recursion study, persistence."""
 
+import concurrent.futures
 import dataclasses
 import errno
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -224,16 +228,24 @@ class TestSweep:
     def test_sweep_starts_clamped_pool(self, monkeypatch):
         started = []
 
-        class RecordingPool(harness.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers, **kw):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers, **kw)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         spec = small_spec(n_agents_grid=[2], sync_periods=[1], replications=2)
         assert trial_key_list(sweep(spec, workers=8)) == trial_key_list(sweep(spec, workers=1))
         assert started == [2]
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # sequential runs never pay for multiprocessing; only a pool loads it
+        src = Path(harness.__file__).resolve().parents[1]
+        code = "import sys, fedsam; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
     def test_parallel_equals_sequential(self, tmp_path):
         spec = small_spec()

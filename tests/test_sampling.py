@@ -1,5 +1,7 @@
 """Trajectory generation, stream independence, and mixing diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,36 @@ class TestReferenceSampler:
             chain.step()
         assert held == reference_windows(mdp, Policy.uniform(4, 2), UNIFORM_XI[4], 2, stream(3, 1), 1)[0]
         assert isinstance(held[0], tuple) and isinstance(held[1], tuple)
+
+
+def generator_state(rng: np.random.Generator) -> str:
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=lambda arr: arr.tolist())
+
+
+class TestBlockSteps:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_states=st.integers(1, 7),
+        n_actions=st.integers(1, 3),
+        n=st.sampled_from([0, 1, 3]),
+        k=st.sampled_from([1, 5, 64]),
+    )
+    def test_block_equals_single_steps(self, seed, n_states, n_actions, n, k):
+        rng = np.random.default_rng(seed)
+        mdp = Mdp(
+            n_states, n_actions, rng.dirichlet(np.ones(n_states), size=(n_states, n_actions)),
+            rng.uniform(size=(n_states, n_actions)), 0.9,
+        )
+        behavior = Policy(rng.dirichlet(np.ones(n_actions), size=n_states))
+        xi = rng.dirichlet(np.ones(n_states))
+        block = AgentChain(mdp, behavior, xi, n, stream(seed, 1, 0))
+        single = AgentChain(mdp, behavior, xi, n, stream(seed, 1, 0))
+        for _ in range(3):  # consecutive blocks start where the last one left the chain
+            assert block.steps(k) == [single.step() for _ in range(k)]
+            assert (block.states, block.actions) == (single.states, single.actions)
+            assert generator_state(block.rng) == generator_state(single.rng)
+        assert block.step() == single.step()
 
 
 class TestAdvance:
