@@ -22,6 +22,7 @@ from .mdp import (
     FeatureMatrix,
     Mdp,
     Policy,
+    certified_stationary,
     eigen_moduli,
     importance_ratio,
     importance_ratio_max,
@@ -40,6 +41,7 @@ Q_LEARNING = "q_learning"
 KINDS = (ON_POLICY_TD_LFA, OFF_POLICY_TD_TABULAR, Q_LEARNING)
 
 _BETA_MARGIN = 0.01
+SINGLE_NODE_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +118,12 @@ def q_learning_update(
 class AlgorithmInstance:
     """A concrete problem: environment, policies, features, and its oracle.
 
-    Derived fields (fixed point, per-agent stationary distributions and mixing
-    estimates, beta) are computed once at construction; treat instances as
-    immutable afterwards. The fixed point and beta depend on (mdp, target)
-    only, so `harness.sub_instance` restricts an instance by slicing.
+    Derived fields (fixed point, per-agent stationary distributions and
+    certified mixing bounds, beta) are computed once at construction; treat
+    instances as immutable afterwards. The exact mixing estimates are solved
+    when `agent_mixing` or `mixing` is first read. The fixed point and beta
+    depend on (mdp, target) only, so `harness.sub_instance` restricts an
+    instance by slicing.
     """
 
     kind: str
@@ -132,8 +136,12 @@ class AlgorithmInstance:
     beta: float | None = None
     fixed_point: np.ndarray = field(init=False)
     stationary: list[np.ndarray] = field(init=False)
-    agent_mixing: list[MixingEstimate] = field(init=False)
+    rho_bounds: list[float] = field(init=False)
     p_target: np.ndarray = field(init=False)
+    # exact estimates by behavior bytes, filled on demand; shared by sub-instances
+    _exact_mixing: dict[bytes, MixingEstimate] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -158,11 +166,11 @@ class AlgorithmInstance:
             for b in self.behaviors:
                 importance_ratio_table(self.target, b)  # coverage check
 
-        # one spectral pass per distinct behavior chain
+        # one solve and one certificate per distinct behavior chain
         chains = {b.probs.tobytes(): b for b in self.behaviors}
         solved = {key: self._solve_chain(b) for key, b in chains.items()}
         self.stationary = [solved[b.probs.tobytes()][0] for b in self.behaviors]
-        self.agent_mixing = [solved[b.probs.tobytes()][1] for b in self.behaviors]
+        self.rho_bounds = [solved[b.probs.tobytes()][1] for b in self.behaviors]
 
         if self.kind == ON_POLICY_TD_LFA:
             self.fixed_point = projected_fixed_point_oracle(
@@ -178,8 +186,29 @@ class AlgorithmInstance:
         if self.kind == ON_POLICY_TD_LFA and self.beta is None:
             self.beta = select_beta(self.expected_update_matrix())
 
-    def _solve_chain(self, behavior: Policy) -> tuple[np.ndarray, MixingEstimate]:
-        """Stationary distribution and mixing of one behavior's chain: one solve, one eigen-solve.
+    def _solve_chain(self, behavior: Policy) -> tuple[np.ndarray, float]:
+        """Stationary distribution of one behavior's chain and a bound on its rho.
+
+        The squaring certificate (`mdp.certified_stationary`) accepts almost
+        every ergodic chain without a spectrum. Any other chain is judged from
+        its eigenvalues, as `stationary_distribution` judges it; if it passes,
+        its second eigenvalue modulus is its bound.
+        """
+        p_b = policy_transition_matrix(self.mdp, behavior)
+        certified = certified_stationary(p_b)
+        if certified is not None:
+            mu, bound = certified
+        else:
+            moduli = eigen_moduli(p_b)
+            mu, bound = stationary_distribution(p_b, moduli), float(moduli[1])
+        if self.kind == Q_LEARNING and np.any(mu[:, None] * behavior.probs <= 1e-12):
+            raise ErgodicityError("stationary distribution has (near-)zero mass (s, a) pairs")
+        return mu, bound
+
+    @property
+    def agent_mixing(self) -> list[MixingEstimate]:
+        """Exact mixing estimate per agent; each distinct behavior is solved on
+        first read, from P_b rebuilt for it rather than kept from construction.
 
         Q-learning's noise lives on (s, a) pairs, with kernel K = A B, where
         A[(s,a), s'] = P(s'|s,a) and B[s', (s',a')] = pi(a'|s'). By Sylvester
@@ -187,20 +216,20 @@ class AlgorithmInstance:
         from its row (s, a) to its stationary law mu(s') pi(a'|s') is that of
         P(.|s,a) from mu; so no (S A)^2 matrix is formed.
         """
-        p_b = policy_transition_matrix(self.mdp, behavior)
-        moduli = eigen_moduli(p_b)
-        mu = stationary_distribution(p_b, moduli)
-        if self.kind != Q_LEARNING:
-            return mu, mixing_diagnostics(p_b, mu=mu, moduli=moduli)
-        if np.any(mu[:, None] * behavior.probs <= 1e-12):
-            raise ErgodicityError("stationary distribution has (near-)zero mass (s, a) pairs")
-        rows = self.mdp.transition.reshape(-1, self.mdp.n_states)
-        return mu, mixing_diagnostics(p_b, mu=mu, moduli=moduli, rows=rows)
+        cache = self._exact_mixing
+        rows = self.mdp.transition.reshape(-1, self.mdp.n_states) if self.kind == Q_LEARNING else None
+        for b, mu in zip(self.behaviors, self.stationary):
+            key = b.probs.tobytes()
+            if key not in cache:
+                p_b = policy_transition_matrix(self.mdp, b)
+                cache[key] = mixing_diagnostics(p_b, mu=mu, moduli=eigen_moduli(p_b), rows=rows)
+        return [cache[b.probs.tobytes()] for b in self.behaviors]
 
     @property
     def mixing(self) -> MixingEstimate:
         """Worst case over agents: the largest rho and the largest m_bar."""
-        return MixingEstimate(max(m.rho for m in self.agent_mixing), max(m.m_bar for m in self.agent_mixing))
+        agent_mixing = self.agent_mixing
+        return MixingEstimate(max(m.rho for m in agent_mixing), max(m.m_bar for m in agent_mixing))
 
     @property
     def n_agents(self) -> int:
@@ -675,25 +704,31 @@ def run_single_node(
     rng: np.random.Generator,
     agent: int = 0,
 ) -> np.ndarray:
-    """Run the raw update for one agent; returns the final estimate."""
+    """Run the raw update for one agent; returns the final estimate.
+
+    The windows are drawn in blocks of at most SINGLE_NODE_BLOCK steps, the
+    same windows as one `chain.step()` per step.
+    """
     mdp = instance.mdp
     window_n = 1 if instance.kind == Q_LEARNING else instance.n_step
     chain = AgentChain(mdp, instance.behaviors[agent], instance.xi, window_n, rng, agent)
+    windows = (
+        window
+        for start in range(0, horizon, SINGLE_NODE_BLOCK)
+        for window in chain.steps(min(SINGLE_NODE_BLOCK, horizon - start))
+    )
     if instance.kind == ON_POLICY_TD_LFA:
         est = np.zeros(instance.features.d)
-        for _ in range(horizon):
-            states, actions = chain.step()
+        for states, actions in windows:
             est = onpolicy_td_update(est, states, actions, instance.features, mdp, alpha)
         return est
     if instance.kind == OFF_POLICY_TD_TABULAR:
         est = np.zeros(mdp.n_states)
         behavior = instance.behaviors[agent]
-        for _ in range(horizon):
-            states, actions = chain.step()
+        for states, actions in windows:
             est = offpolicy_td_update(est, states, actions, instance.target, behavior, mdp, alpha)
         return est
     est = np.zeros((mdp.n_states, mdp.n_actions))
-    for _ in range(horizon):
-        states, actions = chain.step()
-        est = q_learning_update(est, int(states[0]), int(actions[0]), int(states[1]), mdp, alpha)
+    for states, actions in windows:
+        est = q_learning_update(est, states[0], actions[0], states[1], mdp, alpha)
     return est

@@ -120,9 +120,13 @@ class FedRunConfig:
         if self.checkpoint_stride is not None and self.checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be >= 1")
 
+    def horizon_need(self, tau_alpha: int) -> int:
+        """Theory asks for T > max{K + tau_alpha, 2 tau_alpha}."""
+        return max(self.sync_period + tau_alpha, 2 * tau_alpha)
+
     def warn_if_short_horizon(self, tau_alpha: int) -> None:
-        """Theory asks for T > max{K + tau_alpha, 2 tau_alpha}; warn, don't enforce."""
-        need = max(self.sync_period + tau_alpha, 2 * tau_alpha)
+        """Warn when T <= horizon_need(tau_alpha); don't enforce."""
+        need = self.horizon_need(tau_alpha)
         if self.horizon <= need:
             warnings.warn(
                 f"horizon T={self.horizon} <= max(K+tau, 2tau)={need}; "

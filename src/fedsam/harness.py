@@ -34,7 +34,7 @@ from .algorithms import (
 from .engine import FedRunConfig, FedSamProblem, run_fedsam
 from .errors import DivergenceError, GenerationError
 from .mdp import FeatureMatrix, Mdp, Policy
-from .sampling import stream
+from .sampling import stream, tau_alpha
 
 TAG_GEN = 10
 TAG_TRIAL = 11
@@ -261,7 +261,9 @@ def build_instance_for_spec(spec: ExperimentSpec) -> AlgorithmInstance:
 def sub_instance(instance: AlgorithmInstance, n_agents: int) -> AlgorithmInstance:
     """Restriction to the first n_agents behavior policies, by slicing the per-agent fields.
 
-    The fixed point and beta depend on (mdp, target) only, so nothing is solved again.
+    The fixed point and beta depend on (mdp, target) only, so nothing is solved
+    again; the exact mixing estimates stay unsolved until read, and those
+    solved are shared.
     """
     if not 1 <= n_agents <= instance.n_agents:
         raise ValueError(f"instance provides {instance.n_agents} agents, needed {n_agents}")
@@ -270,7 +272,7 @@ def sub_instance(instance: AlgorithmInstance, n_agents: int) -> AlgorithmInstanc
     sub = copy.copy(instance)
     sub.behaviors = instance.behaviors[:n_agents]
     sub.stationary = instance.stationary[:n_agents]
-    sub.agent_mixing = instance.agent_mixing[:n_agents]
+    sub.rho_bounds = instance.rho_bounds[:n_agents]
     return sub
 
 
@@ -295,6 +297,10 @@ class TrialResult:
     checkpoint_ts: list[int]
     error_series: list[float]
     omega_series: list[float]
+    # where a diverged run turned non-finite; None when it did not, or when
+    # only its error overflowed
+    diverged_step: int | None = None
+    diverged_agent: int | None = None
 
     def late_blowup(self) -> bool:
         """True when the tail of the error series rises above its early level.
@@ -332,8 +338,8 @@ def run_trial(
 ) -> TrialResult:
     """Full federated run of one cell; divergence is recorded, not raised.
 
-    A run diverges when an iterate turns non-finite, or when its error is too
-    large to square as a float.
+    A run diverges when an iterate turns non-finite, at a (step, agent) the
+    result keeps, or when its error is too large to square as a float.
     """
     if instance.n_agents != cell.n_agents:
         instance = sub_instance(instance, cell.n_agents)
@@ -368,12 +374,13 @@ def run_trial(
         final_err = problem.norm(trace.final_theta_bar)
         series = [float(problem.norm(row) ** 2) for row in trace.theta_bar_series]
         mse, final_sq_error = float(err**2), float(final_err**2)
-    except (DivergenceError, OverflowError):
-        wall = (time.perf_counter() - start) * 1e3
+    except (DivergenceError, OverflowError) as exc:  # only DivergenceError knows where
         return TrialResult(
             cell.n_agents, cell.sync_period, cell.alpha, cell.horizon, replication,
             mse=float("nan"), final_sq_error=float("nan"), t_hat=-1, status="diverged",
-            wall_ms=wall, checkpoint_ts=[], error_series=[], omega_series=[],
+            wall_ms=(time.perf_counter() - start) * 1e3, checkpoint_ts=[], error_series=[],
+            omega_series=[], diverged_step=getattr(exc, "step", None),
+            diverged_agent=getattr(exc, "agent", None),
         )
     return TrialResult(
         cell.n_agents, cell.sync_period, cell.alpha, cell.horizon, replication,
@@ -485,15 +492,24 @@ def sweep(spec: ExperimentSpec, workers: int = 1) -> SweepResult:
 
 
 def _warn_short_horizons(spec: ExperimentSpec, instance: AlgorithmInstance) -> None:
+    """Warn for each cell whose horizon is short at the exact worst-case tau_alpha.
+
+    tau_alpha does not decrease with rho, so a cell long enough at the
+    largest certified bound on rho is long enough at the exact rho; the exact
+    estimate is solved only when some cell is not.
+    """
+    rho_bound = max(instance.rho_bounds)
     for cell in spec.cells():
         alpha_eff = cell.alpha * (instance.beta or 1.0)
         if not 0 < alpha_eff < 1:
             continue
-        tau = instance.mixing.tau_alpha(alpha_eff)
-        FedRunConfig(
+        config = FedRunConfig(
             n_agents=cell.n_agents, sync_period=cell.sync_period, step_size=cell.alpha,
             horizon=cell.horizon, output_c=0.5, master_seed=0,
-        ).warn_if_short_horizon(tau)
+        )
+        if cell.horizon > config.horizon_need(tau_alpha(rho_bound, alpha_eff)):
+            continue
+        config.warn_if_short_horizon(instance.mixing.tau_alpha(alpha_eff))
 
 
 def _aggregate(cells: list[Cell], trials: list[TrialResult], reps: int) -> list[CellStats]:
@@ -682,7 +698,7 @@ def iid_scalar_validation(
 
 RESULTS_HEADER = "n_agents,sync_period,alpha,horizon,replication,mse,final_sq_error,t_hat,status"
 SERIES_HEADER = "n_agents,sync_period,alpha,horizon,replication,t,sq_error,omega"
-TIMING_HEADER = "n_agents,sync_period,alpha,horizon,replication,wall_ms"
+TIMING_HEADER = "n_agents,sync_period,alpha,horizon,replication,wall_ms,diverged_step,diverged_agent"
 
 
 def _write_atomic(path: Path, lines: Iterable[str]) -> None:
@@ -704,7 +720,9 @@ def persist(result: SweepResult, out_dir: str | Path, name: str | None = None) -
     """Write metadata, results table, checkpoint series, and the timing sidecar.
 
     Everything except the timing sidecar is a pure function of (spec, seed),
-    so reruns produce byte-identical files. Each file is replaced whole.
+    so reruns produce byte-identical files. The sidecar holds each trial's
+    wall time and, for a run that turned non-finite, the step and agent where
+    it did. Each file is replaced whole.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -737,6 +755,9 @@ def persist(result: SweepResult, out_dir: str | Path, name: str | None = None) -
     def key(t: TrialResult) -> str:
         return f"{t.n_agents},{t.sync_period},{fmt(t.alpha)},{t.horizon},{t.replication}"
 
+    def known(x: int | None) -> str:
+        return "" if x is None else str(x)
+
     _write_atomic(paths["results"], [RESULTS_HEADER] + [
         f"{key(t)},{fmt(t.mse)},{fmt(t.final_sq_error)},{t.t_hat},{t.status}" for t in trials
     ])
@@ -745,7 +766,9 @@ def persist(result: SweepResult, out_dir: str | Path, name: str | None = None) -
         for t in trials
         for ck, err, omega in zip(t.checkpoint_ts, t.error_series, t.omega_series)
     )))
-    _write_atomic(paths["timing"], [TIMING_HEADER] + [f"{key(t)},{fmt(t.wall_ms)}" for t in trials])
+    _write_atomic(paths["timing"], [TIMING_HEADER] + [
+        f"{key(t)},{fmt(t.wall_ms)},{known(t.diverged_step)},{known(t.diverged_agent)}" for t in trials
+    ])
     return paths
 
 

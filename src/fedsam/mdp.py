@@ -20,6 +20,7 @@ from .errors import CoverageError, ErgodicityError
 ROW_SUM_TOL = 1e-12
 RANK_TOL = 1e-10
 ERGODIC_GAP = 1e-12
+CERTIFY_SQUARINGS = 8
 
 
 def _check_rows_stochastic(mat: np.ndarray, what: str) -> None:
@@ -171,23 +172,9 @@ def eigen_moduli(mat: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(np.linalg.eigvals(mat)))[::-1]
 
 
-def stationary_distribution(p_pi: np.ndarray, moduli: np.ndarray | None = None) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix.
-
-    Solved directly from (P^T - I) mu = 0 with the normalization row. The
-    chain is rejected when an eigenvalue besides the Perron root has modulus
-    within 1e-12 of 1: eigenvalue 1 repeated means it is reducible, another
-    one on the unit circle that it is periodic. `moduli` (from `eigen_moduli`)
-    passes in a spectrum the caller already has.
-    """
-    p_pi = np.asarray(p_pi, dtype=float)
-    _check_rows_stochastic(p_pi, "transition matrix")
+def _solve_stationary(p_pi: np.ndarray) -> np.ndarray:
+    """mu from (P^T - I) mu = 0 with the normalization row, every entry above 1e-12."""
     n = p_pi.shape[0]
-    if moduli is None:
-        moduli = eigen_moduli(p_pi)
-    if n > 1 and moduli[1] >= 1.0 - ERGODIC_GAP:
-        raise ErgodicityError(f"second eigenvalue modulus {moduli[1]:.12f}: chain reducible or periodic")
-
     system = p_pi.T - np.eye(n)
     system[-1, :] = 1.0
     rhs = np.zeros(n)
@@ -199,6 +186,95 @@ def stationary_distribution(p_pi: np.ndarray, moduli: np.ndarray | None = None) 
     if np.any(mu <= 1e-12):
         raise ErgodicityError("stationary distribution has (near-)zero mass states")
     return mu
+
+
+def mixing_bound(p_pi: np.ndarray, mu: np.ndarray) -> float | None:
+    """A certified upper bound below 1 - ERGODIC_GAP on the second eigenvalue
+    modulus of a row-stochastic matrix, or None when squaring finds none.
+
+    B = P - 1 mu^T has the spectrum of P with its eigenvalue 1 replaced by
+    1 - sum(mu), whatever mu is, since P 1 = 1 (Brauer); and
+    rho(B) <= ||B^t||^(1/t) for every t (Gelfand). B is squared up to
+    CERTIFY_SQUARINGS times, t = 1, 2, 4, ..., and the smallest
+    ||B^t||^(1/t) is returned if it is below 1 - ERGODIC_GAP. Squaring stops
+    early once a bound below that no longer falls (in exact arithmetic
+    ||B^2t||^(1/2t) <= ||B^t||^(1/t), so rounding has then taken over), or
+    before a square could leave the normal range. Each power carries a bound
+    on its rounding error, and on the row-sum defect of P, so the value bounds
+    rho(P~ - 1 mu^T) in exact arithmetic for an exactly stochastic P~ whose
+    rows differ from P's by P's row-sum defect. 8 n u more covers the
+    rounding of a dense eigen-solver on a well-conditioned spectrum, so the
+    bound is also at least the modulus `eigen_moduli` reports. mu only needs
+    to be near the stationary law for the bound to be tight. None does not
+    mean the chain is not ergodic.
+    """
+    n = p_pi.shape[0]
+    finfo = np.finfo(float)
+    unit = finfo.eps / 2.0
+    gamma_n = n * unit / (1.0 - n * unit)  # relative error of an n-term float sum
+    slack = 1.0 + 2.0 * gamma_n
+    solver_slack = 8.0 * n * unit
+    underflow = n * n * finfo.smallest_subnormal  # absolute error of a product's underflows
+
+    def norm_up(mat: np.ndarray) -> float:
+        return float(np.abs(mat).sum(axis=1).max()) * slack
+
+    power = p_pi - mu[None, :]
+    norm = norm_up(power)
+    # ||power - B^t|| <= err: the subtraction's rounding plus the row-sum defect
+    err = 2.0 * unit * norm + float(np.abs(p_pi.sum(axis=1) - 1.0).max()) * slack + gamma_n
+    best = 1.0 - ERGODIC_GAP
+    for k in range(CERTIFY_SQUARINGS + 1):
+        bound = (norm + err) ** (0.5 ** k) * (1.0 + 4.0 * unit) + solver_slack
+        if best < 1.0 - ERGODIC_GAP and bound >= best:
+            break  # exact powers never raise it: rounding has taken over
+        best = min(best, bound)
+        if k == CERTIFY_SQUARINGS or norm < np.sqrt(finfo.tiny):
+            break
+        power = power @ power
+        # (C + D)^2 - fl(C C) = C D + D C + D^2 + rounding, |rounding| <= gamma_n |C|^2
+        err = (2.0 * norm + err) * err + 2.0 * gamma_n * norm * norm + underflow
+        norm = norm_up(power)
+    return best if best < 1.0 - ERGODIC_GAP else None
+
+
+def certified_stationary(p_pi: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(mu, mixing_bound) for a chain that the squaring certificate accepts, else None.
+
+    mu comes from the same solve as `stationary_distribution`'s, so it has
+    the same bits. A failed solve or a (near-)zero mass also gives None: only
+    the spectrum then decides which error the chain gets.
+    """
+    p_pi = np.asarray(p_pi, dtype=float)
+    _check_rows_stochastic(p_pi, "transition matrix")
+    try:
+        mu = _solve_stationary(p_pi)
+    except ErgodicityError:
+        return None
+    bound = mixing_bound(p_pi, mu)
+    return None if bound is None else (mu, bound)
+
+
+def stationary_distribution(p_pi: np.ndarray, moduli: np.ndarray | None = None) -> np.ndarray:
+    """Stationary distribution of a row-stochastic matrix.
+
+    Solved directly from (P^T - I) mu = 0 with the normalization row. The
+    chain is rejected when an eigenvalue besides the Perron root has modulus
+    within 1e-12 of 1: eigenvalue 1 repeated means it is reducible, another
+    one on the unit circle that it is periodic. A chain that
+    `certified_stationary` accepts needs no spectrum; any other is judged
+    from its `eigen_moduli`, which a caller that has them passes as `moduli`.
+    """
+    p_pi = np.asarray(p_pi, dtype=float)
+    _check_rows_stochastic(p_pi, "transition matrix")
+    if moduli is None:
+        certified = certified_stationary(p_pi)
+        if certified is not None:
+            return certified[0]
+        moduli = eigen_moduli(p_pi)
+    if p_pi.shape[0] > 1 and moduli[1] >= 1.0 - ERGODIC_GAP:
+        raise ErgodicityError(f"second eigenvalue modulus {moduli[1]:.12f}: chain reducible or periodic")
+    return _solve_stationary(p_pi)
 
 
 def value_function_oracle(mdp: Mdp, policy: Policy) -> np.ndarray:

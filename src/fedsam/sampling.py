@@ -131,12 +131,19 @@ class MixingEstimate:
     m_bar: float
 
     def tau_alpha(self, alpha: float) -> int:
-        """Steps after which the mixing residual is O(alpha): ceil(2 ln a / ln rho)."""
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.rho == 0.0:
-            return 1  # chain mixes in a single step
-        return int(math.ceil(2.0 * math.log(alpha) / math.log(self.rho)))
+        return tau_alpha(self.rho, alpha)
+
+
+def tau_alpha(rho: float, alpha: float) -> int:
+    """Steps after which the mixing residual is O(alpha): ceil(2 ln a / ln rho).
+
+    Non-decreasing in rho, so an upper bound on rho gives an upper bound on tau.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if rho == 0.0:
+        return 1  # chain mixes in a single step
+    return int(math.ceil(2.0 * math.log(alpha) / math.log(rho)))
 
 
 def mixing_diagnostics(p_pi: np.ndarray, *, mu=None, moduli=None, rows=None) -> MixingEstimate:

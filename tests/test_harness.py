@@ -3,12 +3,14 @@
 import concurrent.futures
 import dataclasses
 import errno
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +24,12 @@ from fedsam.algorithms import (
     theory_constants,
 )
 from fedsam import harness
+from fedsam.engine import FedRunConfig
 from fedsam.harness import (
     Cell,
     ExperimentSpec,
     GeneratorParams,
+    build_instance_for_spec,
     generate_instance,
     iid_scalar_validation,
     iid_second_moment_exact,
@@ -40,7 +44,8 @@ from fedsam.harness import (
     sweep,
     worker_count,
 )
-from fedsam.mdp import policy_transition_matrix, stationary_distribution
+from fedsam.mdp import Mdp, Policy, eigen_moduli, policy_transition_matrix, stationary_distribution
+from fedsam.sampling import MixingEstimate, mixing_diagnostics, tau_alpha
 
 SMALL = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.6, d=2, n_step=1, n_agents=4)
 
@@ -141,6 +146,15 @@ class TestRunTrial:
         assert result.status == "diverged"
         assert math.isnan(result.mse)
 
+    def test_divergence_keeps_step_and_agent(self):
+        params = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.5, n_agents=2)
+        inst = generate_instance(OFF_POLICY_TD_TABULAR, params, 2024)
+        result = run_trial(inst, Cell(2, 1, 1e6, 200), 0, 2024)
+        assert result.status == "diverged"
+        assert (result.diverged_step, result.diverged_agent) == (66, 0)
+        ok = run_trial(inst, Cell(2, 1, 0.1, 200), 0, 2024)
+        assert (ok.diverged_step, ok.diverged_agent) == (None, None)
+
     def test_finite_overflow_recorded_as_diverged(self):
         # the iterates stay finite, but squaring their norm overflows a float
         params = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.5, n_agents=2)
@@ -149,6 +163,8 @@ class TestRunTrial:
         assert result.status == "diverged"
         assert result.t_hat == -1 and math.isnan(result.mse)
         assert result.error_series == []
+        # no iterate turned non-finite, so there is no step or agent to keep
+        assert (result.diverged_step, result.diverged_agent) == (None, None)
 
     def test_nonpositive_c_out_fallback_is_reported(self):
         params = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.5, n_agents=2)
@@ -369,6 +385,32 @@ class TestPersistence:
         assert len(rows) - 1 == len(spec.cells()) * spec.replications
 
 
+    def test_divergence_goes_to_the_timing_sidecar_only(self, tmp_path):
+        # alpha 0.1 runs, 50 overflows the error while the iterates stay
+        # finite, 1e6 turns non-finite at step 66 on agent 0
+        spec = ExperimentSpec(
+            name="diverge", kind=OFF_POLICY_TD_TABULAR,
+            params=GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.5, n_agents=2),
+            n_agents_grid=[2], sync_periods=[1], alpha_grid=[0.1, 50.0, 1e6], horizon=200,
+            replications=1, master_seed=2024,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the c_out fallback at alpha 50
+            paths = persist(sweep(spec), tmp_path, name="diverge")
+        digests = {key: hashlib.sha256(paths[key].read_bytes()).hexdigest()
+                   for key in ("meta", "results", "series")}
+        # the bytes written before the sidecar kept the divergence
+        assert digests == {
+            "meta": "2518b9584f2b7b5c0f2235e3cf915be1614ea726dd6b71aa1c734f2123e97bd3",
+            "results": "00b15bdafa03e0d94b9f9836d0b95cce00693bd18769ca9f1638ff95cabbcb42",
+            "series": "20e5a6cd85d82c8e269fc91a1cbf8a49e4d8ac97b31460cce4ea3d70d190b200",
+        }
+        header, *rows = paths["timing"].read_text().splitlines()
+        assert header.endswith(",wall_ms,diverged_step,diverged_agent")
+        tails = [row.split(",")[-2:] for row in rows]
+        assert tails == [["", ""], ["", ""], ["66", "0"]]
+
+
 class TestAtomicPersist:
     def test_failed_write_keeps_previous_file_and_leaves_no_partial(self, tmp_path, monkeypatch):
         paths = persist(sweep(small_spec(checkpoint_stride=5)), tmp_path, name="at")
@@ -434,3 +476,126 @@ class TestSubInstance:
         assert sliced.beta == scratch.beta
         assert theory_constants(sliced) == theory_constants(scratch)
         assert full.n_agents == SMALL.n_agents  # the full instance is left as it was
+
+
+def eager_mixing(instance) -> list[MixingEstimate]:
+    """Each agent's estimate as construction used to solve it: spectrum, stationary law, diagnostics."""
+    rows = None
+    if instance.kind == Q_LEARNING:
+        rows = instance.mdp.transition.reshape(-1, instance.mdp.n_states)
+    out = []
+    for behavior in instance.behaviors:
+        p_b = policy_transition_matrix(instance.mdp, behavior)
+        moduli = eigen_moduli(p_b)
+        mu = stationary_distribution(p_b, moduli)
+        out.append(mixing_diagnostics(p_b, mu=mu, moduli=moduli, rows=rows))
+    return out
+
+
+def bits(estimates) -> list[tuple[str, str]]:
+    return [(m.rho.hex(), m.m_bar.hex()) for m in estimates]
+
+
+class TestMixingOnDemand:
+    @pytest.mark.parametrize("kind", (ON_POLICY_TD_LFA, OFF_POLICY_TD_TABULAR, Q_LEARNING))
+    @pytest.mark.parametrize("sub_first", (False, True))
+    def test_equals_eager_estimates_bit_for_bit(self, kind, sub_first):
+        full = generate_instance(kind, SMALL, seed=6)
+        sub = sub_instance(full, 2)
+        expected = eager_mixing(full)
+        worst = MixingEstimate(max(m.rho for m in expected), max(m.m_bar for m in expected))
+        if sub_first:
+            assert bits(sub.agent_mixing) == bits(expected[:2])
+        assert bits(full.agent_mixing) == bits(expected)
+        assert bits([full.mixing]) == bits([worst])
+        assert bits(sub.agent_mixing) == bits(expected[:2])
+        assert all(b >= m.rho for b, m in zip(full.rho_bounds, expected))
+        assert sub.rho_bounds == full.rho_bounds[:2]
+
+    def test_uncertified_chain_takes_its_bound_from_the_spectrum(self):
+        # two 2-state classes coupled at 1e-10: ergodic, but no power up to 2^8 certifies it
+        chain = np.array([[0.6, 0.4, 0.0, 0.0], [0.3, 0.7 - 1e-10, 1e-10, 0.0],
+                          [0.0, 1e-10, 0.7 - 1e-10, 0.3], [0.0, 0.0, 0.4, 0.6]])
+        mdp = Mdp(4, 1, chain[:, None, :], np.full((4, 1), 0.5), 0.5)
+        target = Policy(np.ones((4, 1)))
+        instance = AlgorithmInstance(kind=OFF_POLICY_TD_TABULAR, mdp=mdp, target=target,
+                                     behaviors=[target])
+        assert instance.rho_bounds == [float(eigen_moduli(chain)[1])]
+        assert bits(instance.agent_mixing) == bits(eager_mixing(instance))
+
+    def test_sweep_solves_no_state_sized_spectrum(self, monkeypatch):
+        real = np.linalg.eigvals
+        shapes = []
+
+        def counting(mat):
+            shapes.append(np.shape(mat))
+            return real(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        spec = ExperimentSpec(
+            name="eig", kind=Q_LEARNING,
+            params=GeneratorParams(n_states=50, n_actions=2, branching=3, gamma=0.8, n_agents=16),
+            n_agents_grid=[1, 4, 16], sync_periods=[8], alpha_grid=[0.1], horizon=200,
+            replications=1, master_seed=3,
+        )
+        sweep(spec)
+        instance = build_instance_for_spec(spec)
+        assert (50, 50) not in shapes
+        instance.mixing
+        distinct = {b.probs.tobytes() for b in instance.behaviors}
+        assert shapes.count((50, 50)) == len(distinct) == 16
+        instance.mixing  # solved once per behavior
+        sub_instance(instance, 4).agent_mixing
+        assert shapes.count((50, 50)) == 16
+
+
+def exact_rule_warnings(spec: ExperimentSpec, instance) -> list[str]:
+    """The short-horizon warnings of the rule that reads the exact rho for every cell."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        for cell in spec.cells():
+            alpha_eff = cell.alpha * (instance.beta or 1.0)
+            if not 0 < alpha_eff < 1:
+                continue
+            FedRunConfig(
+                n_agents=cell.n_agents, sync_period=cell.sync_period, step_size=cell.alpha,
+                horizon=cell.horizon, output_c=0.5, master_seed=0,
+            ).warn_if_short_horizon(instance.mixing.tau_alpha(alpha_eff))
+    return [str(w.message) for w in record]
+
+
+def symmetric_two_state_instance() -> AlgorithmInstance:
+    # a normal chain: the bound equals rho = 0.4 up to rounding
+    mdp = Mdp(2, 1, np.array([[[0.7, 0.3]], [[0.3, 0.7]]]), np.array([[0.2], [0.9]]), 0.5)
+    target = Policy(np.ones((2, 1)))
+    return AlgorithmInstance(kind=OFF_POLICY_TD_TABULAR, mdp=mdp, target=target, behaviors=[target])
+
+
+class TestShortHorizonWarning:
+    @pytest.mark.parametrize("make", [
+        lambda: generate_instance(Q_LEARNING, GeneratorParams(n_states=50, branching=3, n_agents=4), 3),
+        lambda: generate_instance(OFF_POLICY_TD_TABULAR, SMALL, 5),
+        lambda: generate_instance(ON_POLICY_TD_LFA, SMALL, 5),
+        symmetric_two_state_instance,
+    ], ids=["q_learning_S50", "off_policy_td", "on_policy_td_lfa", "two_state"])
+    def test_warns_exactly_when_the_exact_rule_does(self, make):
+        instance = make()
+        rho_bound = max(instance.rho_bounds)
+        counts = {True: 0, False: 0}
+        # 0.16 = 0.4^2 puts tau of the two-state chain on an integer boundary
+        for alpha, k in product((0.01, 0.16, 0.3, 0.9), (1, 16)):
+            alpha_eff = alpha * (instance.beta or 1.0)
+            if not 0 < alpha_eff < 1:
+                continue
+            taus = (tau_alpha(instance.mixing.rho, alpha_eff), tau_alpha(rho_bound, alpha_eff))
+            needs = {max(k + tau, 2 * tau) + d for tau in taus for d in (-1, 0, 1)}
+            for horizon in sorted(needs):
+                spec = ExperimentSpec(kind=instance.kind, n_agents_grid=[instance.n_agents],
+                                      sync_periods=[k], alpha_grid=[alpha], horizon=horizon)
+                with warnings.catch_warnings(record=True) as record:
+                    warnings.simplefilter("always")
+                    harness._warn_short_horizons(spec, instance)
+                expected = exact_rule_warnings(spec, instance)
+                assert [str(w.message) for w in record] == expected
+                counts[bool(expected)] += 1
+        assert counts[True] and counts[False]

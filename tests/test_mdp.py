@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsam.errors import CoverageError, ErgodicityError
 from fedsam.harness import GeneratorParams, generate_mdp
@@ -11,6 +13,8 @@ from fedsam.mdp import (
     Policy,
     bellman_optimality_operator,
     bellman_residual,
+    certified_stationary,
+    eigen_moduli,
     greedy_policy,
     importance_ratio,
     importance_ratio_max,
@@ -141,6 +145,103 @@ class TestStationaryDistribution:
             mu = stationary_distribution(p)
             assert np.abs(mu @ p - mu).sum() <= 1e-10
             assert mu.min() > 0
+
+
+def _two_blocks(c_ab: float, c_ba: float) -> np.ndarray:
+    """Two closed 2-state classes, coupled c_ab one way and c_ba the other."""
+    block = np.array([[0.6, 0.4], [0.3, 0.7]])
+    chain = np.zeros((4, 4))
+    chain[:2, :2] = block
+    chain[2:, 2:] = block[::-1]
+    chain[1, 1] -= c_ab
+    chain[1, 2] += c_ab
+    chain[2, 2] -= c_ba
+    chain[2, 1] += c_ba
+    return chain
+
+
+def _blend(chain: np.ndarray, c: float) -> np.ndarray:
+    return (1.0 - c) * chain + c / chain.shape[0]
+
+
+THREE_CYCLE = np.roll(np.eye(3), 1, axis=1)
+SECOND_MODULUS_1 = "second eigenvalue modulus 1.000000000000: chain reducible or periodic"
+ZERO_MASS = "stationary distribution has (near-)zero mass states"
+
+
+@st.composite
+def ergodic_chains(draw) -> np.ndarray:
+    """Random chains with every entry positive: dense, or 1-3 successors per row plus a small uniform blend."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        chain = rng.random((n, n)) ** 3 + 1e-9
+    else:
+        chain = np.zeros((n, n))
+        for row in chain:
+            succ = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+            row[succ] = rng.random(len(succ)) + 0.05
+        chain = _blend(chain / chain.sum(axis=1, keepdims=True), draw(st.sampled_from([1e-3, 1e-2, 0.1])))
+    return chain / chain.sum(axis=1, keepdims=True)
+
+
+class TestMixingCertificate:
+    """The squaring certificate only accepts; whatever it does not accept takes the eigenvalue path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ergodic_chains())
+    def test_bound_covers_second_eigenvalue_modulus(self, chain):
+        moduli = eigen_moduli(chain)
+        certified = certified_stationary(chain)
+        if certified is not None:
+            mu, bound = certified
+            assert moduli[1] <= bound < 1.0 - 1e-12
+            assert mu.tobytes() == stationary_distribution(chain, moduli).tobytes()
+        assert stationary_distribution(chain).tobytes() == stationary_distribution(chain, moduli).tobytes()
+
+    @pytest.mark.parametrize("chain", [
+        np.array([[0.92938191, 0.07061809], [0.93839742, 0.06160258]]),  # rho 0.009
+        np.tile([0.3, 0.2, 0.5], (3, 1)),  # rank one: rho 0
+    ], ids=["rho_0.009", "rank_one"])
+    def test_fast_mixing_chain_stops_before_its_powers_underflow(self, chain):
+        chain = chain / chain.sum(axis=1, keepdims=True)
+        _, bound = certified_stationary(chain)
+        assert eigen_moduli(chain)[1] <= bound < 0.01
+
+    @pytest.mark.parametrize("n_states", [5, 50, 200])
+    def test_generated_chains_are_certified(self, n_states):
+        mdp = random_mdp(n_states, 2, 0.9, seed=n_states, branching=3)
+        for seed in range(3):
+            chain = policy_transition_matrix(mdp, random_policy(n_states, 2, seed))
+            _, bound = certified_stationary(chain)
+            assert eigen_moduli(chain)[1] <= bound < 1.0 - 1e-12
+
+    @pytest.mark.parametrize("chain,message", [
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), SECOND_MODULUS_1),
+        (THREE_CYCLE, SECOND_MODULUS_1),
+        (np.eye(3), SECOND_MODULUS_1),
+        (_two_blocks(0.0, 0.0), SECOND_MODULUS_1),
+        (_two_blocks(1e-14, 1e-14), SECOND_MODULUS_1),
+        (_two_blocks(1e-14, 0.0), SECOND_MODULUS_1),
+        (_two_blocks(1e-10, 0.0), ZERO_MASS),
+        (_blend(THREE_CYCLE, 1e-14), SECOND_MODULUS_1),
+    ], ids=["two_cycle", "three_cycle", "identity", "two_blocks", "blocks_1e-14",
+            "leak_1e-14", "leak_1e-10", "cycle_1e-14"])
+    def test_rejected_chains_are_never_certified(self, chain, message):
+        assert certified_stationary(chain) is None
+        for moduli in (None, eigen_moduli(chain)):
+            with pytest.raises(ErgodicityError) as err:
+                stationary_distribution(chain, moduli)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("chain", [_two_blocks(1e-10, 1e-10), _blend(THREE_CYCLE, 1e-10)],
+                             ids=["blocks_1e-10", "cycle_1e-10"])
+    def test_near_reducible_ergodic_chains_keep_their_verdict(self, chain):
+        # rho = 1 - O(1e-10) passes the eigenvalue verdict; no power up to
+        # 2^8 certifies it, and the eigenvalue path gives the same bits
+        assert certified_stationary(chain) is None
+        expected = stationary_distribution(chain, eigen_moduli(chain))
+        assert stationary_distribution(chain).tobytes() == expected.tobytes()
 
 
 class TestValueFunctionOracle:
