@@ -11,6 +11,8 @@ cross-checking the reduction.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import add
 
@@ -303,9 +305,21 @@ class _InstanceProblem(FedSamProblem):
     """An instance's FedSamProblem, with the operators and the noise as methods.
 
     Subclasses hold arrays and plain lists only, so a built problem pickles.
-    The fused updates of the tabular kinds read Python floats (per-state rows
+    The block kernels of the tabular kinds read Python floats (per-state rows
     as lists, (s, a, s') tables through `.item`): the same doubles as the
     operators read, so the same bits.
+
+    Their `run_block` kernels draw a block's 2k uniforms in one call and walk
+    the chain inline; a finished block leaves the chain and its generator as
+    k `step()` calls would (a diverged one leaves the window mid-block, and
+    the run ends there).
+
+    Their finite guard is `FedSamProblem.run_block`'s, made cheaper. While
+    every entry lies strictly inside +-finite_bound = DBL_MAX / (2 dim), each
+    partial sum of the row is below DBL_MAX / 2 in any order, so the row's
+    sum is finite. A block of k > 1 steps that starts so checks only the entry
+    each step writes; from the first write at or beyond the bound (or NaN),
+    and in one-step blocks, it sums the row as the generic guard does.
     """
 
     def __init__(self, instance: AlgorithmInstance, window_n: int, norm_kind: str,
@@ -315,8 +329,13 @@ class _InstanceProblem(FedSamProblem):
         self.dim, self.n_agents = instance.dim, instance.n_agents
         self.norm_kind, self.initial_theta, self.step_scale = norm_kind, initial_theta, step_scale
         self.check_zero_fixed_point = True
+        self.finite_bound = sys.float_info.max / (2 * self.dim)
         # not the dataclass __init__: it would store the operators over the methods
         self.__post_init__()
+
+    def _inside_bound(self, theta: np.ndarray) -> bool:
+        """Every entry strictly inside +-finite_bound (false on NaN)."""
+        return float(np.maximum.reduce(np.abs(theta))) < self.finite_bound
 
     def make_noise(self, agent_id: int, rng: np.random.Generator) -> AgentChain:
         return AgentChain(self.mdp, self.behaviors[agent_id], self.xi, self.window_n, rng, agent_id)
@@ -356,7 +375,7 @@ class LinearTdProblem(_InstanceProblem):
 class OffPolicyTdProblem(_InstanceProblem):
     """Tabular n-step TD reweighted by each agent's importance ratios.
 
-    A step moves only the entry at S_t, so `update` writes that entry alone.
+    A step moves only the entry at S_t, so `run_block` writes that entry alone.
     """
 
     def __init__(self, instance: AlgorithmInstance):
@@ -398,30 +417,63 @@ class OffPolicyTdProblem(_InstanceProblem):
         out[int(states[0])] = acc
         return out
 
-    def update(self, i: int, theta: np.ndarray, y, alpha: float) -> np.ndarray:
-        """The generic step at S_t, with apply_g's and apply_b's sums taken in one pass."""
-        states, actions = y
+    def run_block(self, i: int, theta: np.ndarray, noise: AgentChain, t_start: int,
+                  t_stop: int, alpha: float, record) -> tuple:
+        """`FedSamProblem.run_block` with the chain walked inline.
+
+        Each step is the generic step at S_t, with apply_g's and apply_b's sums
+        taken in one pass; the block's trajectory is kept as two lists that
+        start with the chain's window, so step j's window is states[j:j+n+1]
+        and actions[j:j+n].
+        """
+        k = t_stop - t_start
+        draws = iter(noise.rng.random(2 * k).tolist())
+        n, n_actions, n_states = self.window_n, noise.n_actions, noise.n_states
+        policy_cdf, trans_cdf = noise.policy_cdf, noise.trans_cdf
         gamma, table, td, item = self.gamma, self._ratio_rows[i], self.td.item, theta.item
-        acc_g = acc_b = 0.0
-        g_pow = 1.0
-        prod = 1.0
-        for l in range(self.window_n):
-            s, a, s2 = states[l], actions[l], states[l + 1]
-            prod *= table[s][a]
-            weight = g_pow * prod
-            acc_g += weight * (gamma * item(s2) - item(s))
-            acc_b += weight * td(s, a, s2)
-            g_pow *= gamma
-        s0 = states[0]
-        th = item(s0)
-        theta[s0] = th + alpha * (((th + acc_g) - th) + acc_b)
-        return theta
+        watch, bound = k > 1 and self._inside_bound(theta), self.finite_bound
+        states, actions = list(noise.states), list(noise.actions)
+        snapshots = {}
+        j = 0
+        for t, u_action, u_state in zip(range(t_start, t_stop), draws, draws):
+            # the first transition's weight is ratio(S_t, A_t) exactly, and 0.0 + x
+            # is the generic sums' first addition (it turns -0.0 into 0.0)
+            s0, a, s2 = states[j], actions[j], states[j + 1]
+            prod = table[s0][a]
+            th = item(s0)
+            acc_g = 0.0 + prod * (gamma * item(s2) - th)
+            acc_b = 0.0 + prod * td(s0, a, s2)
+            g_pow = gamma
+            for l in range(j + 1, j + n):
+                s, a, s2 = states[l], actions[l], states[l + 1]
+                prod *= table[s][a]
+                weight = g_pow * prod
+                acc_g += weight * (gamma * item(s2) - item(s))
+                acc_b += weight * td(s, a, s2)
+                g_pow *= gamma
+            v = th + alpha * (((th + acc_g) - th) + acc_b)
+            theta[s0] = v
+            # A ~ behavior(.|S_newest), S' ~ P(.|S_newest, A), as AgentChain.advance
+            lo = s2 * n_actions
+            a = bisect_right(policy_cdf, u_action, lo, lo + n_actions) - lo
+            lo = (lo + a) * n_states
+            states.append(bisect_right(trans_cdf, u_state, lo, lo + n_states) - lo)
+            actions.append(a)
+            j += 1
+            if not (watch and -bound < v < bound):
+                watch = False
+                if not math.isfinite(np.add.reduce(theta)):
+                    return None, t
+            if t + 1 in record:
+                snapshots[t + 1] = theta.copy()
+        noise.states, noise.actions = tuple(states[k:]), tuple(actions[k:])
+        return theta, snapshots
 
 
 class QLearningProblem(_InstanceProblem):
     """Tabular Q-learning on single transitions.
 
-    A step moves only the entry (S_t, A_t), so `update` writes that entry alone.
+    A step moves only the entry (S_t, A_t), so `run_block` writes that entry alone.
     """
 
     def __init__(self, instance: AlgorithmInstance):
@@ -450,18 +502,42 @@ class QLearningProblem(_InstanceProblem):
         out[s * self.n_actions + a] = self.b_table[s, a, s2]
         return out
 
-    def update(self, _i: int, theta: np.ndarray, y, alpha: float) -> np.ndarray:
-        """The generic step at (S_t, A_t), without the full-vector temporaries."""
-        states, actions = y
-        n_actions = self.n_actions
-        s, a, s2 = states[0], actions[0], states[1]
-        lo = s2 * n_actions
-        shifted_max = max(map(add, theta[lo:lo + n_actions].tolist(), self._q_rows[s2]))
-        idx = s * n_actions + a
-        th = theta.item(idx)
-        acc = self.gamma * shifted_max - th - self._gamma_q_max[s2]
-        theta[idx] = th + alpha * (((th + acc) - th) + self.b_table.item(s, a, s2))
-        return theta
+    def run_block(self, _i: int, theta: np.ndarray, noise: AgentChain, t_start: int,
+                  t_stop: int, alpha: float, record) -> tuple:
+        """`FedSamProblem.run_block` with the chain walked inline.
+
+        Each step is the generic step at (S_t, A_t), without the full-vector
+        temporaries; the window (S_t, A_t, S_t+1) is kept as three ints.
+        """
+        k = t_stop - t_start
+        draws = iter(noise.rng.random(2 * k).tolist())
+        n_actions, n_states = self.n_actions, noise.n_states
+        policy_cdf, trans_cdf = noise.policy_cdf, noise.trans_cdf
+        gamma, q_rows, gamma_q_max = self.gamma, self._q_rows, self._gamma_q_max
+        b_item, item = self.b_table.item, theta.item
+        watch, bound = k > 1 and self._inside_bound(theta), self.finite_bound
+        (s, s2), (a,) = noise.states, noise.actions
+        snapshots = {}
+        for t, u_action, u_state in zip(range(t_start, t_stop), draws, draws):
+            lo = s2 * n_actions
+            shifted_max = max(map(add, theta[lo:lo + n_actions].tolist(), q_rows[s2]))
+            idx = s * n_actions + a
+            th = item(idx)
+            acc = gamma * shifted_max - th - gamma_q_max[s2]
+            v = th + alpha * (((th + acc) - th) + b_item(s, a, s2))
+            theta[idx] = v
+            # the walk from S_t+1, as AgentChain.advance; its action row starts at lo
+            s, a = s2, bisect_right(policy_cdf, u_action, lo, lo + n_actions) - lo
+            lo = (lo + a) * n_states
+            s2 = bisect_right(trans_cdf, u_state, lo, lo + n_states) - lo
+            if not (watch and -bound < v < bound):
+                watch = False
+                if not math.isfinite(np.add.reduce(theta)):
+                    return None, t
+            if t + 1 in record:
+                snapshots[t + 1] = theta.copy()
+        noise.states, noise.actions = (s, s2), (a,)
+        return theta, snapshots
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,22 @@ def _print_cell_table(result) -> None:
         )
 
 
+def _print_divergences(result) -> None:
+    """One line per diverged trial, then the count of late blow-ups.
+
+    A trial whose error overflowed while its iterates stayed finite has no
+    step or agent; both print as '-'.
+    """
+    diverged = [t for t in result.trials if t.status == "diverged"]
+    print(f"diverged trials: {len(diverged)}")
+    for t in diverged:
+        step = "-" if t.diverged_step is None else t.diverged_step
+        agent = "-" if t.diverged_agent is None else t.diverged_agent
+        print(f"  N={t.n_agents} K={t.sync_period} alpha={t.alpha:g} T={t.horizon} "
+              f"replication={t.replication} step={step} agent={agent}")
+    print(f"late blow-up trials: {sum(t.late_blowup() for t in result.trials)}")
+
+
 def _run_or_sweep(args, defaults: dict, single_cell: bool) -> int:
     cfg = copy.deepcopy(defaults)
     file_cfg = _load_config(args.config)
@@ -245,6 +261,7 @@ def _run_or_sweep(args, defaults: dict, single_cell: bool) -> int:
     result = sweep(spec, workers=args.parallel)
     paths = persist(result, args.out, name=spec.name)
     _print_cell_table(result)
+    _print_divergences(result)
     for rec in result.slopes:
         print(
             f"speedup slope (K={rec['k']}, alpha={rec['alpha']:g}): "

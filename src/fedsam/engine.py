@@ -41,7 +41,8 @@ class FedSamProblem:
     apply_g(i, theta, y) and apply_b(i, y) evaluate the agent-i operator and
     additive noise; make_noise(i, rng) builds the agent's noise process (an
     object whose .step() yields successive y values, and whose optional
-    .steps(k) yields the next k at once). The engine steps through `update`.
+    .steps(k) yields the next k at once). The engine advances each agent one
+    block at a time through `run_block`, which steps through `update`.
     The operators must satisfy G(i, 0, y) = 0 — zero is the common fixed
     point — which is probed with random samples at construction time.
     """
@@ -92,6 +93,31 @@ class FedSamProblem:
         override may write into theta and return it.
         """
         return theta + alpha * (self.apply_g(agent, theta, y) - theta + self.apply_b(agent, y))
+
+    def run_block(self, agent: int, theta: np.ndarray, noise, t_start: int, t_stop: int,
+                  alpha: float, record) -> tuple:
+        """Advance one agent from step t_start to t_stop through `update`.
+
+        Draws the block's values with the noise's `steps`, or with lazy
+        `step()` calls. Returns the agent's end state and its snapshots
+        {t: theta_t} at the steps t in `record`. The caller passes a row it
+        owns, which an override may write into. The finite guard sums the
+        parameter after every step: any non-finite entry, or a finite
+        overflow, poisons the sum. A diverged agent returns (None, t) with t
+        its failing step.
+        """
+        k = t_stop - t_start
+        steps = getattr(noise, "steps", None)
+        windows = steps(k) if steps is not None else (noise.step() for _ in range(k))
+        snapshots = {}
+        update, isfinite, row_sum = self.update, math.isfinite, np.add.reduce
+        for t, y in enumerate(windows, t_start):
+            theta = update(agent, theta, y, alpha)
+            if not isfinite(row_sum(theta)):
+                return None, t
+            if t + 1 in record:
+                snapshots[t + 1] = theta.copy()
+        return theta, snapshots
 
 
 @dataclass
@@ -180,35 +206,6 @@ def sync_errors(thetas: np.ndarray, norm_kind: str = NORM_SUP) -> tuple[float, f
     return float(dists.mean()), float((dists**2).mean())
 
 
-def _advance_agent(update, agent, theta, windows, t_start, alpha, record):
-    """Advance one agent through the block's windows, from step t_start.
-
-    Returns the agent's end state and its snapshots at the steps in `record`.
-    `update` may write into theta, so the caller passes a row it owns. The
-    finite guard sums the parameter: any non-finite entry, or a finite
-    overflow, poisons the sum. A diverged agent returns (None, t) with t its
-    failing step.
-    """
-    snapshots = {}
-    isfinite, row_sum = math.isfinite, np.add.reduce
-    for t, y in enumerate(windows, t_start):
-        theta = update(agent, theta, y, alpha)
-        if not isfinite(row_sum(theta)):
-            return None, t
-        if t + 1 in record:
-            snapshots[t + 1] = theta.copy()
-    return theta, snapshots
-
-
-def _block_draw(noise):
-    """k -> the noise's next k values: its `steps`, or k lazy `step()` calls."""
-    steps = getattr(noise, "steps", None)
-    if steps is not None:
-        return steps
-    step = noise.step
-    return lambda k: (step() for _ in range(k))
-
-
 def run_fedsam(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
     """Execute the loop for config.horizon steps, syncing every sync_period.
 
@@ -233,21 +230,22 @@ def run_fedsam(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
     if theta0 is None:
         theta0 = np.zeros(problem.dim)
     thetas = np.tile(theta0, (n_agents, 1))
-    draws = [
-        _block_draw(problem.make_noise(i, stream(config.master_seed, TAG_NOISE, i)))
-        for i in range(n_agents)
+    rows = list(thetas)  # views: an agent's block may write its row in place
+    noises = [
+        problem.make_noise(i, stream(config.master_seed, TAG_NOISE, i)) for i in range(n_agents)
     ]
 
     series: dict[int, tuple[np.ndarray, float, float]] = {}
     output_theta: np.ndarray | None = None
     sorted_schedule = sorted(schedule)
+    col_sum = np.add.reduce  # col_sum(m, 0) / len(m) is m.mean(axis=0), bit for bit
 
     def record(t: int, mat: np.ndarray) -> None:
         nonlocal output_theta
         in_schedule = t in schedule
         if not in_schedule and t != t_hat:
             return
-        mean = mat.mean(axis=0)
+        mean = col_sum(mat, 0) / len(mat)
         if in_schedule:
             delta, omega = sync_errors(mat, problem.norm_kind)
             series[t] = (mean, delta, omega)
@@ -256,30 +254,38 @@ def run_fedsam(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
 
     record(0, thetas)
 
-    update = problem.update
+    run_block = problem.run_block
+    none_inside: frozenset[int] = frozenset()  # a one-step block has no step inside it
     t = 0
     # blow-ups become the diverged marker; entered once, not once per block
     with np.errstate(over="ignore", invalid="ignore"):
         while t < big_t:
             t_stop = min((t // k + 1) * k, big_t)
-            lo = bisect_right(sorted_schedule, t)
-            hi = bisect_left(sorted_schedule, t_stop)
-            wanted = set(sorted_schedule[lo:hi])
-            if t < t_hat < t_stop:
-                wanted.add(t_hat)
-            results = [
-                _advance_agent(update, i, thetas[i], draw(t_stop - t), t, alpha_eff, wanted)
-                for i, draw in enumerate(draws)
-            ]
-            diverged = [(t_fail, agent) for agent, (end, t_fail) in enumerate(results) if end is None]
-            if diverged:
-                raise DivergenceError(*min(diverged))
-            for agent, (theta_end, _) in enumerate(results):
-                thetas[agent] = theta_end
+            wanted = none_inside
+            if t_stop - t > 1:
+                lo = bisect_right(sorted_schedule, t)
+                hi = bisect_left(sorted_schedule, t_stop)
+                wanted = set(sorted_schedule[lo:hi])
+                if t < t_hat < t_stop:
+                    wanted.add(t_hat)
+            snapshots = []
+            failed = None
+            for agent in range(n_agents):
+                row = rows[agent]
+                end, out = run_block(agent, row, noises[agent], t, t_stop, alpha_eff, wanted)
+                if end is None:
+                    if failed is None or out < failed[0]:
+                        failed = (out, agent)
+                    continue
+                if end is not row:
+                    row[:] = end
+                snapshots.append(out)
+            if failed is not None:
+                raise DivergenceError(*failed)
             for t_mid in sorted(wanted):
-                record(t_mid, np.stack([snaps[t_mid] for _, snaps in results]))
+                record(t_mid, np.stack([snaps[t_mid] for snaps in snapshots]))
             if t_stop % k == 0:
-                thetas[:] = thetas.mean(axis=0)  # in-place sync barrier
+                thetas[:] = col_sum(thetas, 0) / n_agents  # in-place sync barrier
             record(t_stop, thetas)
             t = t_stop
 

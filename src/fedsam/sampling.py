@@ -38,7 +38,9 @@ class AgentChain:
 
     Every draw is one uniform from `rng`, inverted against a row of the
     cumulative tables that the MDP and the policy build once and share
-    (`bisect_right` there equals `np.searchsorted(side="right")`).
+    (`bisect_right` there equals `np.searchsorted(side="right")`). A block
+    kernel may walk the chain itself: it reads `rng`, `n_states`, `n_actions`,
+    `policy_cdf` and `trans_cdf`, and writes back `states` and `actions`.
     """
 
     def __init__(
@@ -58,10 +60,10 @@ class AgentChain:
         self.agent_id = agent_id
         self.rng = rng
         self.n_step = n
-        self._n_states = mdp.n_states
-        self._n_actions = mdp.n_actions
-        self._policy_cdf = behavior.cdf
-        self._trans_cdf = mdp.transition_cdf
+        self.n_states = mdp.n_states
+        self.n_actions = mdp.n_actions
+        self.policy_cdf = behavior.cdf
+        self.trans_cdf = mdp.transition_cdf
         self.states: tuple[int, ...] = (bisect_right(cdf_table(xi), rng.random()),)
         self.actions: tuple[int, ...] = ()
         for _ in range(n):
@@ -69,11 +71,11 @@ class AgentChain:
 
     def _walk(self, state: int, u_action: float, u_state: float) -> tuple[int, int]:
         """Invert two uniforms into A ~ behavior(.|state) and S' ~ P(.|state, A)."""
-        n_actions, n_states = self._n_actions, self._n_states
+        n_actions, n_states = self.n_actions, self.n_states
         lo = state * n_actions
-        a = bisect_right(self._policy_cdf, u_action, lo, lo + n_actions) - lo
+        a = bisect_right(self.policy_cdf, u_action, lo, lo + n_actions) - lo
         lo = (lo + a) * n_states
-        return a, bisect_right(self._trans_cdf, u_state, lo, lo + n_states) - lo
+        return a, bisect_right(self.trans_cdf, u_state, lo, lo + n_states) - lo
 
     def advance(self) -> tuple[int, int]:
         """Sample A ~ behavior(.|S_newest), S' ~ P(.|S_newest, A) and shift.

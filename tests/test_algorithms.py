@@ -1,7 +1,9 @@
 """Algorithm updates, the shifted reduction, expected operators, constants."""
 
+import json
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -246,8 +248,36 @@ class TestShiftedReduction:
         assert np.abs(trajs[0] - trajs[1]).max() <= 1e-13
 
 
+def twin_chains(problem, agent, seed):
+    """Two chains of one agent on the same stream: one for the kernel, one for the generic path."""
+    return [problem.make_noise(agent, stream(seed, 1, agent)) for _ in range(2)]
+
+
+def assert_block_matches_generic(problem, agent, chains, theta, t_start, k, alpha, record):
+    """The kind's `run_block` against `FedSamProblem.run_block` on a twin chain.
+
+    Returns the kernel's outcome: (theta, snapshots), or (None, failing step).
+    A diverged block is compared by its failing step only; the run ends there.
+    """
+    kernel_chain, generic_chain = chains
+    got = problem.run_block(agent, theta.copy(), kernel_chain, t_start, t_start + k, alpha, record)
+    want = FedSamProblem.run_block(problem, agent, theta.copy(), generic_chain, t_start,
+                                   t_start + k, alpha, record)
+    if want[0] is None or got[0] is None:
+        assert got == want
+        return got
+    assert got[0].tobytes() == want[0].tobytes()
+    assert sorted(got[1]) == sorted(want[1])
+    assert all(got[1][t].tobytes() == want[1][t].tobytes() for t in want[1])
+    assert (kernel_chain.states, kernel_chain.actions) == (generic_chain.states, generic_chain.actions)
+    states = [json.dumps(c.rng.bit_generator.state, sort_keys=True, default=lambda a: a.tolist())
+              for c in chains]
+    assert states[0] == states[1]
+    return got
+
+
 class TestFusedUpdate:
-    """The tabular kinds' one-coordinate update is the engine's generic step, bit for bit."""
+    """The tabular kinds' block kernel is the engine's generic block, bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -257,23 +287,96 @@ class TestFusedUpdate:
         n_agents=st.integers(1, 4),
         scale_exp=st.integers(-3, 150),
         alpha=st.sampled_from([0.0, 0.01, 0.3, 1.0, 50.0]),
+        record_every=st.sampled_from([0, 1, 3]),
     )
-    def test_bit_equal_to_generic_step(self, kind, seed, n_step, n_agents, scale_exp, alpha):
+    def test_bit_equal_to_generic_step(self, kind, seed, n_step, n_agents, scale_exp, alpha,
+                                       record_every):
         params = GeneratorParams(n_states=5, n_actions=3, branching=3, gamma=0.8,
                                  n_step=n_step, n_agents=n_agents)
         inst = generate_instance(kind, params, seed=seed)
         problem = build_problem(inst)
         rng = np.random.default_rng(seed)
         for agent in range(n_agents):  # agents differ in their behaviors and ratio tables
-            for y in problem.make_noise(agent, stream(seed, 1, agent)).steps(20):
+            chains = twin_chains(problem, agent, seed)
+            t = 0
+            for k in (1, 2, 5, 20, 64):  # blocks in a row on the same chains
                 theta = rng.standard_normal(inst.dim) * 10.0**scale_exp
-                generic = FedSamProblem.update(problem, agent, theta, y, alpha)
-                fused = problem.update(agent, theta.copy(), y, alpha)
-                assert fused.tobytes() == generic.tobytes()
+                record = set(range(t + 1, t + k + 1, record_every)) if record_every else set()
+                end, _ = assert_block_matches_generic(problem, agent, chains, theta, t, k, alpha,
+                                                      record)
+                assert end is not None
+                t += k
 
     def test_generic_update_kept_for_linear_features(self):
-        assert build_problem(generate_instance(ON_POLICY_TD_LFA, ACCEPT, seed=3)).update.__func__ \
-            is FedSamProblem.update
+        problem = build_problem(generate_instance(ON_POLICY_TD_LFA, ACCEPT, seed=3))
+        assert problem.run_block.__func__ is FedSamProblem.run_block
+        assert problem.update.__func__ is FedSamProblem.update
+
+
+class TestFiniteGuard:
+    """The kernels check only the written entry while every entry is inside
+    +-DBL_MAX / (2 dim); their verdicts and failing steps are those of the
+    generic per-step isfinite(np.add.reduce(theta))."""
+
+    @pytest.mark.parametrize("kind", [OFF_POLICY_TD_TABULAR, Q_LEARNING])
+    def test_verdicts_equal_per_step_row_sum(self, kind):
+        params = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.8, n_step=2,
+                                 n_agents=2)
+        inst = generate_instance(kind, params, seed=11)
+        problem = build_problem(inst)
+        bound = problem.finite_bound
+        assert bound == sys.float_info.max / (2 * inst.dim)
+        rng = np.random.default_rng(5)
+        below = np.nextafter(bound, 0.0)
+        starts = []
+        for scale in (1e300, 1e305, 1e306, 1e307, 0.5 * bound, below):
+            starts.append(rng.uniform(-1.0, 1.0, inst.dim) * scale)
+            starts.append(rng.choice([-1.0, 1.0], inst.dim) * scale)
+        starts.append(np.full(inst.dim, below))
+        starts.append(np.full(inst.dim, bound))  # at the bound: the row is summed from the start
+        for bad in (np.nan, np.inf, -np.inf):
+            theta = rng.uniform(-1.0, 1.0, inst.dim)
+            theta[1] = bad
+            starts.append(theta)
+        seen = {"crossed, still finite": 0, "crossed, then diverged": 0, "diverged at once": 0}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for agent in range(inst.n_agents):
+                chains = twin_chains(problem, agent, 7)
+                t = 0
+                for theta in starts:
+                    for alpha in (0.5, 3.0, 50.0):
+                        for k in (1, 2, 5, 64):
+                            end, out = assert_block_matches_generic(
+                                problem, agent, chains, theta, t, k, alpha, set()
+                            )
+                            if end is None:
+                                # a diverged block leaves its chain mid-block
+                                chains = twin_chains(problem, agent, 7 + t)
+                            inside = np.abs(theta).max() < bound
+                            if inside and end is not None and np.abs(end).max() >= bound:
+                                seen["crossed, still finite"] += 1
+                            elif inside and end is None and out > t:
+                                seen["crossed, then diverged"] += 1
+                            elif not inside and end is None and out == t:
+                                seen["diverged at once"] += 1
+                            t += k
+        assert all(seen.values()), seen
+
+
+    @pytest.mark.parametrize("kind, case", [(OFF_POLICY_TD_TABULAR, 498), (OFF_POLICY_TD_TABULAR, 677),
+                                            (Q_LEARNING, 524), (Q_LEARNING, 866)])
+    def test_sum_overflow_after_a_crossing_write(self, kind, case):
+        # found by search over starts inside the bound: a write crosses it
+        # while the row sum stays finite, and a later write inside the bound
+        # overflows the sum, which only summing the row can see
+        params = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.8, n_step=2,
+                                 n_agents=2)
+        problem = build_problem(generate_instance(kind, params, seed=11))
+        theta = np.random.default_rng(case).uniform(-0.5, 0.5, problem.dim) * problem.finite_bound
+        with np.errstate(over="ignore", invalid="ignore"):
+            end, step = assert_block_matches_generic(problem, 0, twin_chains(problem, 0, case),
+                                                     theta, 0, 64, 3.0, set())
+        assert end is None and step > 0
 
 
 class TestBuiltProblems:

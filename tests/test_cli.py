@@ -1,12 +1,15 @@
 """Command-line behavior: files, determinism, exit codes, config handling."""
 
+import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedsam.cli import main
+from fedsam.harness import TrialResult
 from fedsam.mdp import Mdp
 from fedsam.validation import CheckResult
 
@@ -166,6 +169,42 @@ class TestRunAndSweep:
         meta = json.loads((tmp_path / "cfg.meta.json").read_text())
         assert meta["spec"]["horizon"] == 150
         assert meta["spec"]["kind"] == "q_learning"
+
+    def test_sweep_reports_divergences_and_keeps_files(self, tmp_path, monkeypatch, capsys):
+        # alpha 0.1 runs, 50 overflows the error while the iterates stay
+        # finite, 1e6 turns non-finite at step 66 on agent 0
+        cfg = {
+            "name": "diverge",
+            "kind": "off_policy_td_tabular",
+            "params": {"n_states": 4, "n_actions": 2, "branching": 2, "gamma": 0.5, "n_agents": 2},
+            "n_agents_grid": [2],
+            "sync_periods": [1],
+            "alpha_grid": [0.1, 50.0, 1e6],
+            "horizon": 200,
+            "replications": 1,
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(cfg))
+        # flag the ok trial as a late blow-up, so the count has something to count
+        monkeypatch.setattr(TrialResult, "late_blowup", lambda self: self.status == "ok")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the c_out fallback at alpha 50
+            assert run_cli("sweep", "--config", str(path), "--out", str(tmp_path), "--seed", "2024") == 0
+        out = capsys.readouterr().out.splitlines()
+        start = out.index("diverged trials: 2")
+        assert out[start + 1:start + 4] == [
+            "  N=2 K=1 alpha=50 T=200 replication=0 step=- agent=-",
+            "  N=2 K=1 alpha=1e+06 T=200 replication=0 step=66 agent=0",
+            "late blow-up trials: 1",
+        ]
+        # the same bytes as the sweep persisted directly (tests/test_harness.py)
+        digests = {name: hashlib.sha256((tmp_path / f"diverge.{name}").read_bytes()).hexdigest()
+                   for name in ("meta.json", "results.csv", "series.csv")}
+        assert digests == {
+            "meta.json": "2518b9584f2b7b5c0f2235e3cf915be1614ea726dd6b71aa1c734f2123e97bd3",
+            "results.csv": "00b15bdafa03e0d94b9f9836d0b95cce00693bd18769ca9f1638ff95cabbcb42",
+            "series.csv": "20e5a6cd85d82c8e269fc91a1cbf8a49e4d8ac97b31460cce4ea3d70d190b200",
+        }
 
     def test_env_seed_used_and_flag_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDSAM_SEED", "41")

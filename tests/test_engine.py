@@ -1,9 +1,12 @@
 """Generic loop mechanics: output sampling, stepping, syncing, determinism."""
 
+import functools
+import sys
+
 import numpy as np
 import pytest
 
-from fedsam.algorithms import ON_POLICY_TD_LFA, Q_LEARNING, build_problem
+from fedsam.algorithms import OFF_POLICY_TD_TABULAR, ON_POLICY_TD_LFA, Q_LEARNING, build_problem
 from fedsam.engine import (
     FedRunConfig,
     FedSamProblem,
@@ -15,7 +18,7 @@ from fedsam.engine import (
 )
 from fedsam.errors import DivergenceError
 from fedsam.harness import GeneratorParams, generate_instance
-from fedsam.sampling import stream
+from fedsam.sampling import TAG_NOISE, stream
 
 
 class _NullNoise:
@@ -155,6 +158,25 @@ class TestLocalStep:
             traced(prob, n_agents=4, sync_period=50, step_size=0.5, horizon=50)
         assert err.value.step == 17 and err.value.agent == 3
 
+    def test_divergence_reports_earliest_step_then_lowest_agent(self):
+        # in one block, agent 2 blows up at step 3 and agents 1 and 3 at step 2
+        fail_at = {1: 2, 2: 3, 3: 2}
+
+        def blow_up(i, th, y):
+            return th * np.inf if fail_at.get(i) == y else 0.5 * th
+
+        prob = FedSamProblem(
+            dim=1, n_agents=4,
+            apply_g=blow_up,
+            apply_b=lambda i, y: np.zeros(1),
+            make_noise=lambda i, rng: _StepCounter(),
+            initial_theta=np.ones(1),
+            check_zero_fixed_point=False,
+        )
+        with pytest.raises(DivergenceError) as err:
+            traced(prob, n_agents=4, sync_period=8, step_size=0.5, horizon=8)
+        assert (err.value.step, err.value.agent) == (2, 1)
+
     def test_finite_entries_with_overflowing_sum_diverge(self):
         # every entry stays finite, but the row sum the guard takes overflows
         prob = FedSamProblem(
@@ -166,6 +188,34 @@ class TestLocalStep:
         with pytest.raises(DivergenceError) as err:
             traced(prob, n_agents=2, sync_period=8, step_size=1.0, horizon=8)
         assert err.value.step == 5 and err.value.agent == 1
+
+    @pytest.mark.parametrize("kind, alpha, earliest",
+                             [(OFF_POLICY_TD_TABULAR, 4.0, (2, 2)), (Q_LEARNING, 3.0, (7, 2))])
+    def test_tabular_finite_entries_with_overflowing_sum_diverge(self, kind, alpha, earliest):
+        # every entry starts at 0.4 DBL_MAX / dim, inside the kernels' bound of
+        # DBL_MAX / (2 dim); the steps grow them until the row sum overflows
+        params = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.5, n_agents=3)
+        inst = generate_instance(kind, params, 2024)
+        start = np.full(inst.dim, 0.4 * sys.float_info.max / inst.dim)
+        cfg = FedRunConfig(n_agents=3, sync_period=8, step_size=alpha, horizon=64, output_c=0.9,
+                           master_seed=3)
+        problem, generic = build_problem(inst), build_problem(inst)
+        generic.run_block = functools.partial(FedSamProblem.run_block, generic)
+        failures = []
+        for p in (problem, generic):
+            p.initial_theta = start
+            with pytest.raises(DivergenceError) as err:
+                run_fedsam(p, cfg)
+            failures.append((err.value.step, err.value.agent))
+        assert failures == [earliest, earliest]
+        step, agent = earliest
+        # the failing agent is still in its first block, and its entries are finite there
+        noise = problem.make_noise(agent, stream(cfg.master_seed, TAG_NOISE, agent))
+        theta = start.copy()
+        with np.errstate(over="ignore"):
+            for y in noise.steps(step + 1):
+                theta = FedSamProblem.update(problem, agent, theta, y, cfg.step_size)
+        assert np.isfinite(theta).all() and not np.isfinite(np.add.reduce(theta))
 
 
 class TestSyncAverage:
