@@ -11,7 +11,6 @@ cross-checking the reduction.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import add
@@ -35,7 +34,8 @@ from .mdp import (
     stationary_distribution,
     value_function_oracle,
 )
-from .sampling import AgentChain, MixingEstimate, mixing_diagnostics
+from .errors import DivergenceError
+from .sampling import AgentChain, MixingEstimate, invert_rows, mixing_diagnostics, pad_cdf
 
 ON_POLICY_TD_LFA = "on_policy_td_lfa"
 OFF_POLICY_TD_TABULAR = "off_policy_td_tabular"
@@ -43,7 +43,6 @@ Q_LEARNING = "q_learning"
 KINDS = (ON_POLICY_TD_LFA, OFF_POLICY_TD_TABULAR, Q_LEARNING)
 
 _BETA_MARGIN = 0.01
-SINGLE_NODE_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +313,11 @@ class _InstanceProblem(FedSamProblem):
     k `step()` calls would (a diverged one leaves the window mid-block, and
     the run ends there).
 
-    Their finite guard is `FedSamProblem.run_block`'s, made cheaper. While
-    every entry lies strictly inside +-finite_bound = DBL_MAX / (2 dim), each
-    partial sum of the row is below DBL_MAX / 2 in any order, so the row's
-    sum is finite. A block of k > 1 steps that starts so checks only the entry
-    each step writes; from the first write at or beyond the bound (or NaN),
-    and in one-step blocks, it sums the row as the generic guard does.
+    Their finite guard is `FedSamProblem.run_block`'s, made cheaper: while
+    every entry lies strictly inside +-finite_bound, the row's sum is finite.
+    A block of k > 1 steps that starts so checks only the entry each step
+    writes; from the first write at or beyond the bound (or NaN), and in
+    one-step blocks, it sums the row as the generic guard does.
     """
 
     def __init__(self, instance: AlgorithmInstance, window_n: int, norm_kind: str,
@@ -329,7 +327,6 @@ class _InstanceProblem(FedSamProblem):
         self.dim, self.n_agents = instance.dim, instance.n_agents
         self.norm_kind, self.initial_theta, self.step_scale = norm_kind, initial_theta, step_scale
         self.check_zero_fixed_point = True
-        self.finite_bound = sys.float_info.max / (2 * self.dim)
         # not the dataclass __init__: it would store the operators over the methods
         self.__post_init__()
 
@@ -473,8 +470,13 @@ class OffPolicyTdProblem(_InstanceProblem):
 class QLearningProblem(_InstanceProblem):
     """Tabular Q-learning on single transitions.
 
-    A step moves only the entry (S_t, A_t), so `run_block` writes that entry alone.
+    A step moves only the entry (S_t, A_t), so `run_block` writes that entry
+    alone. A batch of at least `lockstep_min_rows` rows runs as
+    `QLearningRows` instead: below that, the per-step numpy calls cost more
+    than the scalar kernel's steps.
     """
+
+    lockstep_min_rows = 16
 
     def __init__(self, instance: AlgorithmInstance):
         mdp, q_star = instance.mdp, instance.fixed_point
@@ -538,6 +540,102 @@ class QLearningProblem(_InstanceProblem):
                 snapshots[t + 1] = theta.copy()
         noise.states, noise.actions = (s, s2), (a,)
         return theta, snapshots
+
+    def lockstep(self, chains: list[AgentChain], horizon: int) -> "QLearningRows":
+        return QLearningRows(self, chains, horizon)
+
+
+class QLearningRows:
+    """The chains of a Q-learning lockstep batch, one per row, stepped together.
+
+    Each row keeps its chain's Philox stream and draw order: it draws the
+    uniforms of up to LOOKAHEAD steps in one call, and walks its chain through
+    them against the chain's own pinned CDF tables (`invert_rows`, which is
+    bisect_right). The walk does not depend on theta, so it runs ahead, and
+    the table entries each step reads are gathered for all of its steps at
+    once. `step` then applies `QLearningProblem.run_block`'s arithmetic,
+    elementwise in the same order; `np.where(c > m, c, m)` is Python's `max`.
+    """
+
+    LOOKAHEAD = 256
+
+    def __init__(self, problem: QLearningProblem, chains: list[AgentChain], horizon: int):
+        n_states, n_actions = problem.mdp.n_states, problem.n_actions
+        self.dim, self.n_states, self.n_actions = problem.dim, n_states, n_actions
+        self.gamma, self.q_star, self.gamma_q_max = problem.gamma, problem.q_star, problem.gamma_q_max
+        self.b_flat = problem.b_table.reshape(-1)
+        self.rngs = [chain.rng for chain in chains]
+        self.sa = np.array([chain.states[0] * n_actions + chain.actions[0] for chain in chains])
+        self.s2 = np.array([chain.states[1] for chain in chains])
+        tables = {chain.agent_id: chain.policy_cdf for chain in chains}
+        order = sorted(tables)
+        # the behaviors' rows one after another: agent order[m]'s row s is m S + s
+        self.policy_cdf = pad_cdf(np.concatenate([np.frombuffer(tables[i]) for i in order])
+                                  .reshape(-1, n_actions))
+        self.policy_base = np.array([order.index(chain.agent_id) * n_states for chain in chains])
+        self.trans_cdf = pad_cdf(np.frombuffer(chains[0].trans_cdf).reshape(-1, n_states))
+        self.row_off = np.arange(len(chains)) * self.dim
+        self.left = horizon
+        self.j = self.k = 0
+
+    def _walk_ahead(self) -> None:
+        """Draw and walk the next k steps of every row; gather what they read."""
+        k = min(self.LOOKAHEAD, self.left)
+        self.left -= k
+        n_actions, n_rows = self.n_actions, len(self.rngs)
+        draws = np.empty((n_rows, 2 * k))
+        for rng, row in zip(self.rngs, draws):
+            rng.random(out=row)
+        draws = draws.T.copy()  # step j reads rows 2j (action) and 2j + 1 (next state)
+        sa_steps = np.empty((k, n_rows), dtype=np.intp)
+        s2_steps = np.empty((k, n_rows), dtype=np.intp)
+        sa, s2 = self.sa, self.s2
+        policy_cdf, policy_base, trans_cdf = self.policy_cdf, self.policy_base, self.trans_cdf
+        for j in range(k):
+            sa_steps[j], s2_steps[j] = sa, s2
+            # A ~ behavior(.|S_t+1), S' ~ P(.|S_t+1, A), as AgentChain.advance
+            sa = s2 * n_actions + invert_rows(policy_cdf, policy_base + s2, draws[2 * j])
+            s2 = invert_rows(trans_cdf, sa, draws[2 * j + 1])
+        self.sa, self.s2 = sa, s2
+        self.written = self.row_off + sa_steps
+        self.next_row = (self.row_off + s2_steps * n_actions)[..., None] + np.arange(n_actions)
+        self.q_next = self.q_star[s2_steps]
+        self.gamma_q_next = self.gamma_q_max[s2_steps]
+        self.b = self.b_flat[sa_steps * self.n_states + s2_steps]
+        self.j, self.k = 0, k
+
+    def step(self, thetas: np.ndarray, alpha: float) -> np.ndarray:
+        """One step of every row of thetas, written in place; returns the written entries."""
+        if self.j == self.k:
+            self._walk_ahead()
+        j = self.j
+        self.j += 1
+        flat = thetas.reshape(-1)
+        candidates = flat[self.next_row[j]]
+        candidates += self.q_next[j]
+        shifted_max = candidates[:, 0]
+        for a in range(1, self.n_actions):
+            c = candidates[:, a]
+            shifted_max = np.where(c > shifted_max, c, shifted_max)
+        idx = self.written[j]
+        th = flat[idx]
+        acc = self.gamma * shifted_max - th - self.gamma_q_next[j]
+        v = th + alpha * (((th + acc) - th) + self.b[j])
+        flat[idx] = v
+        return v
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows where mask is False; the rest move up in order."""
+        row_off = np.arange(int(mask.sum())) * self.dim
+        shift = row_off - self.row_off[mask]
+        self.rngs = [rng for rng, kept in zip(self.rngs, mask) if kept]
+        self.sa, self.s2, self.policy_base = self.sa[mask], self.s2[mask], self.policy_base[mask]
+        self.row_off = row_off
+        if self.j < self.k:
+            self.written = self.written[:, mask] + shift
+            self.next_row = self.next_row[:, mask] + shift[:, None]
+            self.q_next, self.gamma_q_next = self.q_next[:, mask], self.gamma_q_next[:, mask]
+            self.b = self.b[:, mask]
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +868,7 @@ def _lfa_sampled_bounds(instance: AlgorithmInstance) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Raw single-node runner (production path)
+# Single-node runner
 # ---------------------------------------------------------------------------
 
 def run_single_node(
@@ -780,31 +878,16 @@ def run_single_node(
     rng: np.random.Generator,
     agent: int = 0,
 ) -> np.ndarray:
-    """Run the raw update for one agent; returns the final estimate.
+    """One agent's estimate after `horizon` steps of its update, from zero.
 
-    The windows are drawn in blocks of at most SINGLE_NODE_BLOCK steps, the
-    same windows as one `chain.step()` per step.
+    Runs the kind's `run_block` on the shifted problem from theta = -fixed
+    point, the raw estimate's zero start, and adds the fixed point back; the
+    raw updates above give the same trajectory up to float reassociation.
     """
-    mdp = instance.mdp
-    window_n = 1 if instance.kind == Q_LEARNING else instance.n_step
-    chain = AgentChain(mdp, instance.behaviors[agent], instance.xi, window_n, rng, agent)
-    windows = (
-        window
-        for start in range(0, horizon, SINGLE_NODE_BLOCK)
-        for window in chain.steps(min(SINGLE_NODE_BLOCK, horizon - start))
-    )
-    if instance.kind == ON_POLICY_TD_LFA:
-        est = np.zeros(instance.features.d)
-        for states, actions in windows:
-            est = onpolicy_td_update(est, states, actions, instance.features, mdp, alpha)
-        return est
-    if instance.kind == OFF_POLICY_TD_TABULAR:
-        est = np.zeros(mdp.n_states)
-        behavior = instance.behaviors[agent]
-        for states, actions in windows:
-            est = offpolicy_td_update(est, states, actions, instance.target, behavior, mdp, alpha)
-        return est
-    est = np.zeros((mdp.n_states, mdp.n_actions))
-    for states, actions in windows:
-        est = q_learning_update(est, states[0], actions[0], states[1], mdp, alpha)
-    return est
+    problem = build_problem(instance)
+    chain = problem.make_noise(agent, rng)
+    theta, out = problem.run_block(agent, problem.initial_theta.copy(), chain, 0, horizon,
+                                   alpha * problem.step_scale, frozenset())
+    if theta is None:
+        raise DivergenceError(out, agent)
+    return (theta + instance.flat_fixed_point()).reshape(np.shape(instance.fixed_point))

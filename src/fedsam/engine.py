@@ -2,18 +2,20 @@
 
 N agents run local noisy contraction steps theta <- theta + a(G(theta,y) -
 theta + b(y)), average their parameters every K steps, and output the
-averaged iterate at a randomly sampled time. The loop is sequential and
-deterministic given the master seed: every agent owns a counter-based
-stream, so a run depends on its seed alone, never on which process runs it.
+averaged iterate at a randomly sampled time. The loop is deterministic given
+the master seed: every agent owns a counter-based stream, so a run depends
+on its seed alone, never on which process runs it or which trials share its
+batch.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
@@ -45,7 +47,15 @@ class FedSamProblem:
     block at a time through `run_block`, which steps through `update`.
     The operators must satisfy G(i, 0, y) = 0 — zero is the common fixed
     point — which is probed with random samples at construction time.
+
+    A problem with a row step sets `lockstep_min_rows`, the batch size in
+    rows (trials x agents) from which its `lockstep(chains, horizon)` rows
+    beat `run_block`. Those rows advance every chain of a batch by one step
+    per `step(thetas, alpha)` call, write one entry of each row of thetas,
+    and return the written values; `keep(mask)` drops rows.
     """
+
+    lockstep_min_rows: ClassVar[int | None] = None
 
     dim: int
     n_agents: int
@@ -85,6 +95,13 @@ class FedSamProblem:
 
     def norm(self, x: np.ndarray) -> float:
         return norm(x, self.norm_kind)
+
+    @property
+    def finite_bound(self) -> float:
+        """DBL_MAX / (2 dim): while every entry of a row lies strictly inside
+        +-finite_bound, each partial sum of the row is below DBL_MAX / 2 in
+        any order, so the row's sum is finite."""
+        return sys.float_info.max / (2 * self.dim)
 
     def update(self, agent: int, theta: np.ndarray, y, alpha: float) -> np.ndarray:
         """One local step, theta + alpha (G(theta, y) - theta + b(y)).
@@ -206,53 +223,109 @@ def sync_errors(thetas: np.ndarray, norm_kind: str = NORM_SUP) -> tuple[float, f
     return float(dists.mean()), float((dists**2).mean())
 
 
-def run_fedsam(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
-    """Execute the loop for config.horizon steps, syncing every sync_period.
+class _Recorder:
+    """One trial's output time, checkpoint series and output iterate."""
 
-    Agents advance one after another through each block between sync
-    barriers. The output time is pre-sampled from its own stream, so it does
-    not depend on the checkpoint schedule. If any agent diverges within a
-    block, DivergenceError carries the earliest (step, agent).
-    """
-    if config.n_agents != problem.n_agents:
-        raise ValueError(
-            f"config.n_agents={config.n_agents} != problem.n_agents={problem.n_agents}"
+    def __init__(self, config: FedRunConfig, norm_kind: str):
+        big_t = config.horizon
+        self.k = config.sync_period
+        self.norm_kind = norm_kind
+        # pre-sampled from its own stream, so it does not depend on the checkpoints
+        self.t_hat = sample_output_index(config.master_seed, config.output_c, big_t)
+        stride = config.checkpoint_stride or max(1, big_t // 500)
+        self.schedule = set(range(0, big_t + 1, stride)) | {big_t}
+        self.series: dict[int, tuple[np.ndarray, float, float]] = {}
+        self.output_theta: np.ndarray | None = None
+
+    def record(self, t: int, mat: np.ndarray) -> None:
+        """Keep the mean of the agent rows `mat` at step t, if t is a checkpoint or t_hat."""
+        in_schedule = t in self.schedule
+        if not in_schedule and t != self.t_hat:
+            return
+        mean = np.add.reduce(mat, 0) / len(mat)  # bit for bit mat.mean(axis=0)
+        if in_schedule:
+            delta, omega = sync_errors(mat, self.norm_kind)
+            self.series[t] = (mean, delta, omega)
+        if t == self.t_hat:
+            self.output_theta = mean.copy()
+
+    def trace(self, thetas: np.ndarray) -> RunTrace:
+        """The trial's RunTrace; `thetas` are its agent rows at the horizon."""
+        series = self.series
+        ts = np.array(sorted(series), dtype=np.int64)
+        return RunTrace(
+            checkpoint_ts=ts,
+            theta_bar_series=np.stack([series[t][0] for t in ts]),
+            delta_series=np.array([series[t][1] for t in ts]),
+            omega_series=np.array([series[t][2] for t in ts]),
+            output_index=self.t_hat,
+            output_theta=self.output_theta,
+            final_theta_bar=thetas.mean(axis=0),
         )
-    n_agents, big_t, k = config.n_agents, config.horizon, config.sync_period
-    alpha_eff = config.step_size * problem.step_scale
 
-    t_hat = sample_output_index(config.master_seed, config.output_c, big_t)
 
-    stride = config.checkpoint_stride or max(1, big_t // 500)
-    schedule = set(range(0, big_t + 1, stride)) | {big_t}
-
+def _start(problem: FedSamProblem, configs: list[FedRunConfig]) -> tuple[np.ndarray, list]:
+    """Every trial's agent rows, stacked trial by trial, and their noise processes."""
     theta0 = problem.initial_theta
     if theta0 is None:
         theta0 = np.zeros(problem.dim)
-    thetas = np.tile(theta0, (n_agents, 1))
-    rows = list(thetas)  # views: an agent's block may write its row in place
-    noises = [
-        problem.make_noise(i, stream(config.master_seed, TAG_NOISE, i)) for i in range(n_agents)
-    ]
+    n_agents = problem.n_agents
+    noises = [problem.make_noise(i, stream(config.master_seed, TAG_NOISE, i))
+              for config in configs for i in range(n_agents)]
+    return np.tile(theta0, (len(configs) * n_agents, 1)), noises
 
-    series: dict[int, tuple[np.ndarray, float, float]] = {}
-    output_theta: np.ndarray | None = None
-    sorted_schedule = sorted(schedule)
+
+def run_fedsam(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
+    """Execute the loop for config.horizon steps, syncing every sync_period.
+
+    One trial of `run_batch`. If any agent diverges, DivergenceError carries
+    the earliest (step, agent).
+    """
+    (outcome,) = run_batch(problem, [config])
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome
+
+
+def run_batch(problem: FedSamProblem, configs: list[FedRunConfig]) -> list:
+    """Run trials of one problem that share the step size and the horizon.
+
+    Returns each trial's RunTrace, or the DivergenceError that ended it, as
+    the trial run alone gives them. A batch of at least the problem's
+    `lockstep_min_rows` rows (trials x agents) runs in lockstep; any other
+    batch runs its trials one after another, each agent one `run_block`
+    call per block.
+    """
+    for config in configs:
+        if config.n_agents != problem.n_agents:
+            raise ValueError(
+                f"config.n_agents={config.n_agents} != problem.n_agents={problem.n_agents}"
+            )
+    if len({(config.step_size, config.horizon) for config in configs}) > 1:
+        raise ValueError("the trials of a batch share one step size and one horizon")
+    limit = problem.lockstep_min_rows
+    if limit is not None and len(configs) * problem.n_agents >= limit:
+        return _run_lockstep(problem, configs)
+    outcomes = []
+    for config in configs:
+        try:
+            outcomes.append(_run_blocks(problem, config))
+        except DivergenceError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _run_blocks(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
+    """One trial, agent after agent through each block between sync barriers."""
+    n_agents, big_t, k = config.n_agents, config.horizon, config.sync_period
+    alpha_eff = config.step_size * problem.step_scale
+    trial = _Recorder(config, problem.norm_kind)
+    t_hat, sorted_schedule = trial.t_hat, sorted(trial.schedule)
+    thetas, noises = _start(problem, [config])
+    rows = list(thetas)  # views: an agent's block may write its row in place
     col_sum = np.add.reduce  # col_sum(m, 0) / len(m) is m.mean(axis=0), bit for bit
 
-    def record(t: int, mat: np.ndarray) -> None:
-        nonlocal output_theta
-        in_schedule = t in schedule
-        if not in_schedule and t != t_hat:
-            return
-        mean = col_sum(mat, 0) / len(mat)
-        if in_schedule:
-            delta, omega = sync_errors(mat, problem.norm_kind)
-            series[t] = (mean, delta, omega)
-        if t == t_hat:
-            output_theta = mean.copy()
-
-    record(0, thetas)
+    trial.record(0, thetas)
 
     run_block = problem.run_block
     none_inside: frozenset[int] = frozenset()  # a one-step block has no step inside it
@@ -283,22 +356,89 @@ def run_fedsam(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
             if failed is not None:
                 raise DivergenceError(*failed)
             for t_mid in sorted(wanted):
-                record(t_mid, np.stack([snaps[t_mid] for snaps in snapshots]))
+                trial.record(t_mid, np.stack([snaps[t_mid] for snaps in snapshots]))
             if t_stop % k == 0:
                 thetas[:] = col_sum(thetas, 0) / n_agents  # in-place sync barrier
-            record(t_stop, thetas)
+            trial.record(t_stop, thetas)
             t = t_stop
+    return trial.trace(thetas)
 
-    ts = np.array(sorted(series), dtype=np.int64)
-    return RunTrace(
-        checkpoint_ts=ts,
-        theta_bar_series=np.stack([series[t][0] for t in ts]),
-        delta_series=np.array([series[t][1] for t in ts]),
-        omega_series=np.array([series[t][2] for t in ts]),
-        output_index=t_hat,
-        output_theta=output_theta,
-        final_theta_bar=thetas.mean(axis=0),
-    )
+
+def _run_lockstep(problem: FedSamProblem, configs: list[FedRunConfig]) -> list:
+    """All trials of a batch, one step at a time, every agent row at once.
+
+    Rows [p n, (p + 1) n) of `thetas` are the agents of the trial at position
+    p of `active`. Each trial keeps its own blocks, barriers, checkpoints and
+    t_hat. The finite guard is the block kernels': a row whose block of k > 1
+    steps starts with every entry inside +-finite_bound checks only the entry
+    each step writes; after a write at or past the bound, and in one-step
+    blocks, it sums the row. A trial whose row fails leaves the batch with the
+    step and its lowest failing agent, the earliest (step, agent) its
+    sequential run reports; the others go on.
+    """
+    n, big_t = problem.n_agents, configs[0].horizon
+    alpha_eff = configs[0].step_size * problem.step_scale
+    bound = problem.finite_bound
+    trials = [_Recorder(config, problem.norm_kind) for config in configs]
+    outcomes: list = [None] * len(configs)
+    thetas, chains = _start(problem, configs)
+    rows = problem.lockstep(chains, big_t)
+    watch = np.zeros(len(thetas), dtype=bool)
+    records: dict[int, list[int]] = {}  # step -> the trials that record there
+    for b, trial in enumerate(trials):
+        for t in trial.schedule | {trial.t_hat}:
+            records.setdefault(t, []).append(b)
+    periods = sorted({trial.k for trial in trials})
+    active = list(range(len(configs)))  # trial index at each position
+
+    def layout():
+        """Each active trial's position, and the positions of each sync period."""
+        position = {b: p for p, b in enumerate(active)}
+        by_k = [(k, [p for p, b in enumerate(active) if trials[b].k == k]) for k in periods]
+        return position, [(k, ps) for k, ps in by_k if ps]
+
+    position, by_k = layout()
+    view = thetas.reshape(len(active), n, -1)
+    for b in records[0]:
+        trials[b].record(0, view[b])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(big_t):
+            for k, ps in by_k:
+                if k > 1 and t % k == 0:  # their blocks start
+                    if min(t + k, big_t) - t > 1:
+                        inside = np.maximum.reduce(np.abs(view[ps]), axis=2) < bound
+                    else:
+                        inside = False
+                    watch.reshape(-1, n)[ps] = inside
+            written = rows.step(thetas, alpha_eff)
+            watch &= np.abs(written) < bound
+            if not watch.all():
+                summed = ~watch
+                finite = np.isfinite(np.add.reduce(thetas[summed], axis=1))
+                if not finite.all():
+                    gone = {}
+                    for r in np.flatnonzero(summed)[~finite].tolist():
+                        gone.setdefault(r // n, r % n)  # ascending rows: the lowest agent first
+                    for p, agent in gone.items():
+                        outcomes[active[p]] = DivergenceError(t, agent)
+                    keep = np.repeat([p not in gone for p in range(len(active))], n)
+                    active = [b for p, b in enumerate(active) if p not in gone]
+                    if not active:
+                        return outcomes
+                    thetas, watch = thetas[keep], watch[keep]
+                    rows.keep(keep)
+                    view = thetas.reshape(len(active), n, -1)
+                    position, by_k = layout()
+            t_next = t + 1
+            sync = [p for k, ps in by_k if t_next % k == 0 for p in ps]
+            if sync:  # the barriers; np.add.reduce(m, 1) is each trial's np.add.reduce(m_p, 0)
+                view[sync] = (np.add.reduce(view[sync], 1) / n)[:, None]
+            for b in records.get(t_next, ()):
+                if b in position:
+                    trials[b].record(t_next, view[position[b]])
+    for p, b in enumerate(active):
+        outcomes[b] = trials[b].trace(view[p])
+    return outcomes
 
 
 def noise_average_diagnostic(

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import chain, product
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .algorithms import (
     build_problem,
     theory_constants,
 )
-from .engine import FedRunConfig, FedSamProblem, run_fedsam
+from .engine import FedRunConfig, FedSamProblem, run_batch
 from .errors import DivergenceError, GenerationError
 from .mdp import FeatureMatrix, Mdp, Policy
 from .sampling import stream, tau_alpha
@@ -348,45 +348,74 @@ def run_trial(
         problem = build_problem(instance)
     if constants is None:
         constants = theory_constants(instance)
-    alpha_eff = cell.alpha * problem.step_scale
+    (result,) = run_trials(problem, constants, [cell], [replication], master_seed, checkpoint_stride)
+    return result
+
+
+def run_trials(
+    problem: FedSamProblem,
+    constants: TheoryConstants,
+    cells: list[Cell],
+    replications: Sequence[int],
+    master_seed: int,
+    checkpoint_stride: int | None = None,
+) -> list[TrialResult]:
+    """Every (cell, replication) pair, cell by cell, as one `run_batch` batch.
+
+    The cells share N, alpha and the horizon, and `problem` is built for N.
+    Each trial's wall_ms is its share of the batch's wall time.
+    """
+    alpha_eff = cells[0].alpha * problem.step_scale
     c_out = constants.c_out(alpha_eff)
-    if c_out <= 0:  # step too large for late-iterate weighting; fall back to a flat-ish c
-        warnings.warn(
-            f"cell {tuple(cell)}: output constant c_out = {c_out!r} at alpha_eff = {alpha_eff!r} "
-            "is not positive; the output time is drawn with c = 0.5 instead",
-            RuntimeWarning, stacklevel=2,
-        )
-        c_out = 0.5
-    config = FedRunConfig(
-        n_agents=cell.n_agents,
-        sync_period=cell.sync_period,
-        step_size=cell.alpha,
-        horizon=cell.horizon,
-        output_c=c_out,
-        master_seed=trial_seed(master_seed, cell, replication),
-        checkpoint_stride=checkpoint_stride,
-    )
+    pairs, configs = [], []
+    for cell in cells:
+        for replication in replications:
+            if c_out <= 0:  # step too large for late-iterate weighting; fall back to a flat-ish c
+                warnings.warn(
+                    f"cell {tuple(cell)}: output constant c_out = {c_out!r} at alpha_eff = "
+                    f"{alpha_eff!r} is not positive; the output time is drawn with c = 0.5 instead",
+                    RuntimeWarning, stacklevel=3,
+                )
+            pairs.append((cell, replication))
+            configs.append(FedRunConfig(
+                n_agents=cell.n_agents,
+                sync_period=cell.sync_period,
+                step_size=cell.alpha,
+                horizon=cell.horizon,
+                output_c=c_out if c_out > 0 else 0.5,
+                master_seed=trial_seed(master_seed, cell, replication),
+                checkpoint_stride=checkpoint_stride,
+            ))
     start = time.perf_counter()
+    results = [_trial_result(problem, cell, replication, outcome)
+               for (cell, replication), outcome in zip(pairs, run_batch(problem, configs))]
+    share = (time.perf_counter() - start) * 1e3 / len(results)
+    for result in results:
+        result.wall_ms = share
+    return results
+
+
+def _trial_result(problem: FedSamProblem, cell: Cell, replication: int, outcome) -> TrialResult:
+    """A trial's result from its RunTrace or its DivergenceError; wall_ms is set by the caller."""
     try:
-        trace = run_fedsam(problem, config)
-        wall = (time.perf_counter() - start) * 1e3
-        err = problem.norm(trace.output_theta)
-        final_err = problem.norm(trace.final_theta_bar)
-        series = [float(problem.norm(row) ** 2) for row in trace.theta_bar_series]
+        if isinstance(outcome, DivergenceError):
+            raise outcome
+        err = problem.norm(outcome.output_theta)
+        final_err = problem.norm(outcome.final_theta_bar)
+        series = [float(problem.norm(row) ** 2) for row in outcome.theta_bar_series]
         mse, final_sq_error = float(err**2), float(final_err**2)
     except (DivergenceError, OverflowError) as exc:  # only DivergenceError knows where
         return TrialResult(
             cell.n_agents, cell.sync_period, cell.alpha, cell.horizon, replication,
             mse=float("nan"), final_sq_error=float("nan"), t_hat=-1, status="diverged",
-            wall_ms=(time.perf_counter() - start) * 1e3, checkpoint_ts=[], error_series=[],
-            omega_series=[], diverged_step=getattr(exc, "step", None),
-            diverged_agent=getattr(exc, "agent", None),
+            wall_ms=0.0, checkpoint_ts=[], error_series=[], omega_series=[],
+            diverged_step=getattr(exc, "step", None), diverged_agent=getattr(exc, "agent", None),
         )
     return TrialResult(
         cell.n_agents, cell.sync_period, cell.alpha, cell.horizon, replication,
-        mse=mse, final_sq_error=final_sq_error, t_hat=trace.output_index,
-        status="ok", wall_ms=wall, checkpoint_ts=[int(t) for t in trace.checkpoint_ts],
-        error_series=series, omega_series=[float(w) for w in trace.omega_series],
+        mse=mse, final_sq_error=final_sq_error, t_hat=outcome.output_index,
+        status="ok", wall_ms=0.0, checkpoint_ts=[int(t) for t in outcome.checkpoint_ts],
+        error_series=series, omega_series=[float(w) for w in outcome.omega_series],
     )
 
 
@@ -436,12 +465,27 @@ def _sweep_setup(spec: ExperimentSpec) -> _SweepSetup:
     return setup
 
 
-def _run_task(spec: ExperimentSpec, setup: _SweepSetup, cell: Cell, replication: int) -> TrialResult:
-    instance, problem, constants = setup[cell.n_agents]
-    return run_trial(
-        instance, cell, replication, spec.master_seed,
-        problem=problem, constants=constants, checkpoint_stride=spec.checkpoint_stride,
-    )
+# Replications per task: a fixed count, so a batch, and with it every byte, is
+# the same at any worker count.
+REPLICATION_CHUNK = 16
+
+
+def _tasks(spec: ExperimentSpec) -> list[tuple[tuple[Cell, ...], range]]:
+    """(cells, replications) per batch: the cells that share N, alpha and the
+    horizon, in grid order, and a chunk of REPLICATION_CHUNK replications."""
+    groups: dict[tuple, list[Cell]] = {}
+    for cell in spec.cells():
+        groups.setdefault((cell.n_agents, cell.alpha, cell.horizon), []).append(cell)
+    reps = spec.replications
+    return [(tuple(cells), range(lo, min(lo + REPLICATION_CHUNK, reps)))
+            for cells in groups.values() for lo in range(0, reps, REPLICATION_CHUNK)]
+
+
+def _run_task(spec: ExperimentSpec, setup: _SweepSetup, cells: tuple[Cell, ...],
+              replications: range) -> list[TrialResult]:
+    _, problem, constants = setup[cells[0].n_agents]
+    return run_trials(problem, constants, list(cells), replications, spec.master_seed,
+                      spec.checkpoint_stride)
 
 
 # A worker process's (spec, set-up), received once by the pool initializer.
@@ -453,7 +497,7 @@ def _init_worker(spec: ExperimentSpec, setup: _SweepSetup) -> None:
     _worker = (spec, setup)
 
 
-def _worker_task(task: tuple[Cell, int]) -> TrialResult:
+def _worker_task(task: tuple[tuple[Cell, ...], range]) -> list[TrialResult]:
     return _run_task(*_worker, *task)
 
 
@@ -463,10 +507,12 @@ def worker_count(requested: int) -> int:
 
 
 def sweep(spec: ExperimentSpec, workers: int = 1) -> SweepResult:
-    """Run the whole grid with replications; cells x reps execute in parallel.
+    """Run the whole grid with replications; the batches execute in parallel.
 
     Instances, problems and constants are built once, here, and sent as they
-    are to each of `worker_count(workers)` worker processes.
+    are to each of `worker_count(workers)` worker processes. Each task is a
+    `run_trials` batch of `_tasks`; the trials come back cell by cell, each
+    cell's replications in order.
     """
     spec.validate()
     workers = worker_count(workers)
@@ -475,16 +521,19 @@ def sweep(spec: ExperimentSpec, workers: int = 1) -> SweepResult:
     instance, _, constants = setup[max(setup)]
     _warn_short_horizons(spec, instance)
 
-    tasks = [(cell, rep) for cell in cells for rep in range(spec.replications)]
+    tasks = _tasks(spec)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(spec, setup)
         ) as pool:
-            trials = list(pool.map(_worker_task, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
+            batches = list(pool.map(_worker_task, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
     else:
-        trials = [_run_task(spec, setup, cell, rep) for cell, rep in tasks]
+        batches = [_run_task(spec, setup, *task) for task in tasks]
+    done = {(Cell(t.n_agents, t.sync_period, t.alpha, t.horizon), t.replication): t
+            for batch in batches for t in batch}
+    trials = [done[cell, rep] for cell in cells for rep in range(spec.replications)]
 
     stats = _aggregate(cells, trials, spec.replications)
     slopes = _speedup_slopes(spec, stats)

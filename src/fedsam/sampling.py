@@ -117,6 +117,34 @@ class AgentChain:
         return windows
 
 
+def pad_cdf(cdf: np.ndarray) -> np.ndarray:
+    """Pinned CDF rows (see `mdp.cdf_table`) as a 2-D array, padded with 1.0 to
+    a power-of-two width: the table `invert_rows` reads."""
+    width = 1 << (cdf.shape[1] - 1).bit_length()
+    return np.pad(cdf, ((0, 0), (0, width - cdf.shape[1])), constant_values=1.0)
+
+
+def invert_rows(padded: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """bisect_right(cdf[rows[i]], u[i]) for every i, by binary lifting.
+
+    `padded` is `pad_cdf(cdf)`. The entries before a pinned row's last are
+    nondecreasing, its last is 1.0 and so is its padding, and u < 1: the
+    entries <= u are a prefix of the padded row, and the search for the end
+    of that prefix is bisect_right's.
+    """
+    width = padded.shape[1]
+    flat = padded.reshape(-1)
+    start = rows * width
+    pos = start
+    step = width >> 1
+    while step > 1:
+        pos = pos + (flat[pos + (step - 1)] <= u) * step
+        step >>= 1
+    if step:
+        pos = pos + (flat[pos] <= u)
+    return pos - start
+
+
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 

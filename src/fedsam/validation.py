@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import tempfile
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,7 @@ class CheckResult:
     name: str
     passed: bool
     observed: str
+    elapsed_s: float | None = field(default=None, compare=False)  # set by run_all_checks
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.observed}"
@@ -390,13 +392,11 @@ def check_agent_independence(
     xi = np.array([0.5, 0.5])
     chains = [AgentChain(mdp, policy, xi, 1, stream(seed, 34, i), i) for i in range(2)]
     counts = np.zeros((2, 2))
-    for _ in range(200):  # burn-in
-        for c in chains:
-            c.advance()
+    for c in chains:  # burn-in
+        c.steps(200)
     for _ in range(samples):
-        for _ in range(thin):
-            for c in chains:
-                c.advance()
+        for c in chains:  # each chain has its own stream: the order of their steps is free
+            c.steps(thin)
         counts[int(chains[0].states[0]), int(chains[1].states[0])] += 1
     row = counts.sum(axis=1, keepdims=True)
     col = counts.sum(axis=0, keepdims=True)
@@ -647,23 +647,32 @@ def run_all_checks(
     """Run the full acceptance suite (optionally with an injected fault).
 
     fast=True trims replication counts for smoke runs; the acceptance
-    defaults are the full counts.
+    defaults are the full counts. Each result carries its check's wall time
+    in elapsed_s.
     """
     reps = 30 if fast else 100
     seeds6 = 8 if fast else 20
     checks = [
-        check_iid_recursion(seed),
-        check_oracle_consistency(seed),
-        check_contraction(seed, gamma_scale=0.5 if fault == "contraction" else 1.0),
-        check_fixed_point_nullity(seed),
-        check_lipschitz_bounds(seed, samples=2_000 if fast else 10_000),
-        check_noise_average_scaling(seed),
-        check_agent_independence(seed, samples=20_000 if fast else 100_000),
-        check_mixing_bias_decay(seed),
-        check_single_node_convergence(seed, n_seeds=seeds6, workers=workers),
-        check_linear_speedup(seed, replications=reps, workers=workers),
-        check_sync_period_effect(seed, replications=reps, workers=workers),
-        check_determinism(seed),
-        check_output_distribution(seed),
+        lambda: check_iid_recursion(seed),
+        lambda: check_oracle_consistency(seed),
+        lambda: check_contraction(seed, gamma_scale=0.5 if fault == "contraction" else 1.0),
+        lambda: check_fixed_point_nullity(seed),
+        lambda: check_lipschitz_bounds(seed, samples=2_000 if fast else 10_000),
+        lambda: check_noise_average_scaling(seed),
+        lambda: check_agent_independence(seed, samples=20_000 if fast else 100_000),
+        lambda: check_mixing_bias_decay(seed),
+        lambda: check_single_node_convergence(seed, n_seeds=seeds6, workers=workers),
+        lambda: check_linear_speedup(seed, replications=reps, workers=workers),
+        lambda: check_sync_period_effect(seed, replications=reps, workers=workers),
+        lambda: check_determinism(seed),
+        lambda: check_output_distribution(seed),
     ]
-    return checks
+    return [_timed(check) for check in checks]
+
+
+def _timed(check) -> CheckResult:
+    """The check's result, with its wall time in elapsed_s."""
+    start = time.perf_counter()
+    result = check()
+    result.elapsed_s = time.perf_counter() - start
+    return result

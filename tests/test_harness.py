@@ -272,6 +272,39 @@ class TestSweep:
         for key in ("meta", "results", "series"):
             assert p1[key].read_bytes() == p2[key].read_bytes()
 
+    def test_batches_return_trials_in_grid_order(self):
+        # two (N, alpha) groups of two cells each, and two replication chunks per group
+        reps = harness.REPLICATION_CHUNK + 1
+        spec = small_spec(n_agents_grid=[1, 4], sync_periods=[1, 8], alpha_grid=[0.1, 0.2],
+                          horizon=16, replications=reps)
+        assert len(harness._tasks(spec)) == 2 * 2 * 2
+        result = sweep(spec)
+        assert [(t.n_agents, t.sync_period, t.alpha, t.replication) for t in result.trials] == [
+            (c.n_agents, c.sync_period, c.alpha, r) for c in spec.cells() for r in range(reps)
+        ]
+        inst = build_instance_for_spec(spec)
+        for t in result.trials[reps - 2:reps + 2]:  # across the chunk boundary
+            alone = run_trial(inst, Cell(t.n_agents, t.sync_period, t.alpha, t.horizon),
+                              t.replication, spec.master_seed)
+            assert trial_key(alone) == trial_key(t)
+        # a trial's wall time is its share of its batch
+        first_batch = [t for t in result.trials
+                       if (t.n_agents, t.alpha) == (1, 0.1) and t.replication < reps - 1]
+        assert len({t.wall_ms for t in first_batch}) == 1
+
+    def test_c_out_warning_once_per_trial(self):
+        params = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.5, n_agents=2)
+        spec = ExperimentSpec(name="warn", kind=OFF_POLICY_TD_TABULAR, params=params,
+                              n_agents_grid=[2], sync_periods=[1, 4], alpha_grid=[50.0],
+                              horizon=20, replications=3, master_seed=2024)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep(spec)
+        messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)
+                    and "c_out" in str(w.message)]
+        assert [m.split(":")[0] for m in messages] == ["cell (2, 1, 50.0, 20)"] * 3 + [
+            "cell (2, 4, 50.0, 20)"] * 3
+
     def test_k_rule_resolves_to_t_over_n(self):
         spec = small_spec(sync_periods="T_over_N", n_agents_grid=[1, 4], horizon=200)
         cells = spec.cells()
