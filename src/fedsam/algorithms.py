@@ -415,7 +415,7 @@ class OffPolicyTdProblem(_InstanceProblem):
         return out
 
     def run_block(self, i: int, theta: np.ndarray, noise: AgentChain, t_start: int,
-                  t_stop: int, alpha: float, record) -> tuple:
+                  t_stop: int, alpha: float) -> np.ndarray:
         """`FedSamProblem.run_block` with the chain walked inline.
 
         Each step is the generic step at S_t, with apply_g's and apply_b's sums
@@ -430,7 +430,6 @@ class OffPolicyTdProblem(_InstanceProblem):
         gamma, table, td, item = self.gamma, self._ratio_rows[i], self.td.item, theta.item
         watch, bound = k > 1 and self._inside_bound(theta), self.finite_bound
         states, actions = list(noise.states), list(noise.actions)
-        snapshots = {}
         j = 0
         for t, u_action, u_state in zip(range(t_start, t_stop), draws, draws):
             # the first transition's weight is ratio(S_t, A_t) exactly, and 0.0 + x
@@ -460,11 +459,9 @@ class OffPolicyTdProblem(_InstanceProblem):
             if not (watch and -bound < v < bound):
                 watch = False
                 if not math.isfinite(np.add.reduce(theta)):
-                    return None, t
-            if t + 1 in record:
-                snapshots[t + 1] = theta.copy()
+                    raise DivergenceError(t, i)
         noise.states, noise.actions = tuple(states[k:]), tuple(actions[k:])
-        return theta, snapshots
+        return theta
 
 
 class QLearningProblem(_InstanceProblem):
@@ -504,8 +501,8 @@ class QLearningProblem(_InstanceProblem):
         out[s * self.n_actions + a] = self.b_table[s, a, s2]
         return out
 
-    def run_block(self, _i: int, theta: np.ndarray, noise: AgentChain, t_start: int,
-                  t_stop: int, alpha: float, record) -> tuple:
+    def run_block(self, i: int, theta: np.ndarray, noise: AgentChain, t_start: int,
+                  t_stop: int, alpha: float) -> np.ndarray:
         """`FedSamProblem.run_block` with the chain walked inline.
 
         Each step is the generic step at (S_t, A_t), without the full-vector
@@ -519,7 +516,6 @@ class QLearningProblem(_InstanceProblem):
         b_item, item = self.b_table.item, theta.item
         watch, bound = k > 1 and self._inside_bound(theta), self.finite_bound
         (s, s2), (a,) = noise.states, noise.actions
-        snapshots = {}
         for t, u_action, u_state in zip(range(t_start, t_stop), draws, draws):
             lo = s2 * n_actions
             shifted_max = max(map(add, theta[lo:lo + n_actions].tolist(), q_rows[s2]))
@@ -535,11 +531,9 @@ class QLearningProblem(_InstanceProblem):
             if not (watch and -bound < v < bound):
                 watch = False
                 if not math.isfinite(np.add.reduce(theta)):
-                    return None, t
-            if t + 1 in record:
-                snapshots[t + 1] = theta.copy()
+                    raise DivergenceError(t, i)
         noise.states, noise.actions = (s, s2), (a,)
-        return theta, snapshots
+        return theta
 
     def lockstep(self, chains: list[AgentChain], horizon: int) -> "QLearningRows":
         return QLearningRows(self, chains, horizon)
@@ -886,8 +880,6 @@ def run_single_node(
     """
     problem = build_problem(instance)
     chain = problem.make_noise(agent, rng)
-    theta, out = problem.run_block(agent, problem.initial_theta.copy(), chain, 0, horizon,
-                                   alpha * problem.step_scale, frozenset())
-    if theta is None:
-        raise DivergenceError(out, agent)
+    theta = problem.run_block(agent, problem.initial_theta.copy(), chain, 0, horizon,
+                              alpha * problem.step_scale)
     return (theta + instance.flat_fixed_point()).reshape(np.shape(instance.fixed_point))

@@ -283,10 +283,10 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    from .validation import run_all_checks
+    from .validation import DEFAULT_SEED, run_all_checks
 
     checks = run_all_checks(
-        seed=args.seed if args.seed is not None else int(os.environ.get(ENV_SEED, 2024)),
+        seed=_resolve_seed(args, {}, default=DEFAULT_SEED),
         workers=args.parallel,
         fault=args.fault,
         fast=args.fast,

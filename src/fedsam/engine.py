@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar
 
@@ -112,29 +111,25 @@ class FedSamProblem:
         return theta + alpha * (self.apply_g(agent, theta, y) - theta + self.apply_b(agent, y))
 
     def run_block(self, agent: int, theta: np.ndarray, noise, t_start: int, t_stop: int,
-                  alpha: float, record) -> tuple:
+                  alpha: float) -> np.ndarray:
         """Advance one agent from step t_start to t_stop through `update`.
 
         Draws the block's values with the noise's `steps`, or with lazy
-        `step()` calls. Returns the agent's end state and its snapshots
-        {t: theta_t} at the steps t in `record`. The caller passes a row it
-        owns, which an override may write into. The finite guard sums the
-        parameter after every step: any non-finite entry, or a finite
-        overflow, poisons the sum. A diverged agent returns (None, t) with t
-        its failing step.
+        `step()` calls. Returns the agent's row at t_stop; the caller passes
+        a row it owns, which an override may write into and return. The
+        finite guard sums the parameter after every step: any non-finite
+        entry, or a finite overflow, poisons the sum, and the block raises
+        DivergenceError(t, agent) at that step t.
         """
         k = t_stop - t_start
         steps = getattr(noise, "steps", None)
         windows = steps(k) if steps is not None else (noise.step() for _ in range(k))
-        snapshots = {}
         update, isfinite, row_sum = self.update, math.isfinite, np.add.reduce
         for t, y in enumerate(windows, t_start):
             theta = update(agent, theta, y, alpha)
             if not isfinite(row_sum(theta)):
-                return None, t
-            if t + 1 in record:
-                snapshots[t + 1] = theta.copy()
-        return theta, snapshots
+                raise DivergenceError(t, agent)
+        return theta
 
 
 @dataclass
@@ -218,8 +213,11 @@ def sync_errors(thetas: np.ndarray, norm_kind: str = NORM_SUP) -> tuple[float, f
     thetas = np.asarray(thetas, dtype=float)
     if (thetas == thetas[0]).all():
         return 0.0, 0.0
-    mean = thetas.mean(axis=0)
-    dists = np.array([norm(mean - row, norm_kind) for row in thetas])
+    mean = np.add.reduce(thetas, 0) / len(thetas)
+    if norm_kind == NORM_SUP:  # each row's norm(mean - row), in one reduction
+        dists = np.maximum.reduce(np.abs(mean - thetas), axis=1)
+    else:
+        dists = np.array([norm(mean - row, norm_kind) for row in thetas])
     return float(dists.mean()), float((dists**2).mean())
 
 
@@ -234,16 +232,15 @@ class _Recorder:
         self.t_hat = sample_output_index(config.master_seed, config.output_c, big_t)
         stride = config.checkpoint_stride or max(1, big_t // 500)
         self.schedule = set(range(0, big_t + 1, stride)) | {big_t}
+        # the steps at which the engine reads the agents, ascending: 0 first, T last
+        self.points = sorted(self.schedule | {self.t_hat})
         self.series: dict[int, tuple[np.ndarray, float, float]] = {}
         self.output_theta: np.ndarray | None = None
 
     def record(self, t: int, mat: np.ndarray) -> None:
-        """Keep the mean of the agent rows `mat` at step t, if t is a checkpoint or t_hat."""
-        in_schedule = t in self.schedule
-        if not in_schedule and t != self.t_hat:
-            return
+        """Keep the mean of the agent rows `mat` at the point t: a checkpoint, t_hat or both."""
         mean = np.add.reduce(mat, 0) / len(mat)  # bit for bit mat.mean(axis=0)
-        if in_schedule:
+        if t in self.schedule:
             delta, omega = sync_errors(mat, self.norm_kind)
             self.series[t] = (mean, delta, omega)
         if t == self.t_hat:
@@ -316,11 +313,14 @@ def run_batch(problem: FedSamProblem, configs: list[FedRunConfig]) -> list:
 
 
 def _run_blocks(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
-    """One trial, agent after agent through each block between sync barriers."""
-    n_agents, big_t, k = config.n_agents, config.horizon, config.sync_period
+    """One trial, agent after agent through each block.
+
+    A block ends at the next sync barrier or the next recorded point,
+    whichever comes first, so the engine reads the agents at block ends only.
+    """
+    n_agents, k = config.n_agents, config.sync_period
     alpha_eff = config.step_size * problem.step_scale
     trial = _Recorder(config, problem.norm_kind)
-    t_hat, sorted_schedule = trial.t_hat, sorted(trial.schedule)
     thetas, noises = _start(problem, [config])
     rows = list(thetas)  # views: an agent's block may write its row in place
     col_sum = np.add.reduce  # col_sum(m, 0) / len(m) is m.mean(axis=0), bit for bit
@@ -328,39 +328,29 @@ def _run_blocks(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
     trial.record(0, thetas)
 
     run_block = problem.run_block
-    none_inside: frozenset[int] = frozenset()  # a one-step block has no step inside it
     t = 0
     # blow-ups become the diverged marker; entered once, not once per block
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < big_t:
-            t_stop = min((t // k + 1) * k, big_t)
-            wanted = none_inside
-            if t_stop - t > 1:
-                lo = bisect_right(sorted_schedule, t)
-                hi = bisect_left(sorted_schedule, t_stop)
-                wanted = set(sorted_schedule[lo:hi])
-                if t < t_hat < t_stop:
-                    wanted.add(t_hat)
-            snapshots = []
-            failed = None
-            for agent in range(n_agents):
-                row = rows[agent]
-                end, out = run_block(agent, row, noises[agent], t, t_stop, alpha_eff, wanted)
-                if end is None:
-                    if failed is None or out < failed[0]:
-                        failed = (out, agent)
-                    continue
-                if end is not row:
-                    row[:] = end
-                snapshots.append(out)
-            if failed is not None:
-                raise DivergenceError(*failed)
-            for t_mid in sorted(wanted):
-                trial.record(t_mid, np.stack([snaps[t_mid] for snaps in snapshots]))
-            if t_stop % k == 0:
-                thetas[:] = col_sum(thetas, 0) / n_agents  # in-place sync barrier
-            trial.record(t_stop, thetas)
-            t = t_stop
+        for point in trial.points[1:]:
+            while t < point:
+                t_stop = min((t // k + 1) * k, point)
+                failed = None
+                for agent in range(n_agents):
+                    row = rows[agent]
+                    try:
+                        end = run_block(agent, row, noises[agent], t, t_stop, alpha_eff)
+                    except DivergenceError as exc:
+                        if failed is None or exc.step < failed.step:
+                            failed = exc
+                        continue
+                    if end is not row:
+                        row[:] = end
+                if failed is not None:
+                    raise failed
+                if t_stop % k == 0:
+                    thetas[:] = col_sum(thetas, 0) / n_agents  # in-place sync barrier
+                t = t_stop
+            trial.record(t, thetas)
     return trial.trace(thetas)
 
 
@@ -386,7 +376,7 @@ def _run_lockstep(problem: FedSamProblem, configs: list[FedRunConfig]) -> list:
     watch = np.zeros(len(thetas), dtype=bool)
     records: dict[int, list[int]] = {}  # step -> the trials that record there
     for b, trial in enumerate(trials):
-        for t in trial.schedule | {trial.t_hat}:
+        for t in trial.points:
             records.setdefault(t, []).append(b)
     periods = sorted({trial.k for trial in trials})
     active = list(range(len(configs)))  # trial index at each position

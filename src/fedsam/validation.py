@@ -435,9 +435,7 @@ def check_mixing_bias_decay(seed: int = DEFAULT_SEED, n_chains: int = 20_000) ->
         acc = np.zeros(2)
         for c in range(n_chains):
             noise = problem.make_noise(0, stream(seed, 36, t_probe, c))
-            for _ in range(t_probe):
-                noise.step()
-            acc += problem.apply_g(0, theta, noise.step())
+            acc += problem.apply_g(0, theta, noise.steps(t_probe + 1)[-1])
         gaps[t_probe] = float(np.abs(acc / n_chains - gbar).max())
     floor = 3.0 * np.abs(theta).max() / math.sqrt(n_chains)
     passed = gaps[32] <= max(gaps[0] * 0.25, floor) and gaps[8] < gaps[0]

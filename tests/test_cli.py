@@ -245,6 +245,25 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "FAIL bad" in out and "PASS good" in out
 
+    def test_seed_resolves_as_in_every_subcommand(self, tmp_path, monkeypatch, capsys):
+        import fedsam.validation
+
+        seeds = []
+        monkeypatch.setattr(fedsam.validation, "run_all_checks",
+                            lambda **kw: seeds.append(kw["seed"]) or [CheckResult("a", True, "ok")])
+        monkeypatch.delenv("FEDSAM_SEED", raising=False)
+        assert run_cli("validate", "--out", str(tmp_path)) == 0
+        monkeypatch.setenv("FEDSAM_SEED", "41")
+        assert run_cli("validate", "--out", str(tmp_path)) == 0
+        assert run_cli("validate", "--out", str(tmp_path), "--seed", "17") == 0
+        assert seeds == [fedsam.validation.DEFAULT_SEED, 41, 17]
+        capsys.readouterr()
+        monkeypatch.setenv("FEDSAM_SEED", "abc")
+        for command in ("validate", "sweep"):
+            assert run_cli(command, "--out", str(tmp_path)) == 2
+            assert capsys.readouterr().err == "error: FEDSAM_SEED must be an integer, got 'abc'\n"
+        assert seeds == [fedsam.validation.DEFAULT_SEED, 41, 17]
+
     def test_injected_contraction_fault_fails(self):
         # halving gamma_c must break the contraction check
         from fedsam.validation import check_contraction

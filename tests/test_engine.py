@@ -11,6 +11,7 @@ from fedsam.engine import (
     FedRunConfig,
     FedSamProblem,
     noise_average_diagnostic,
+    norm,
     output_time_distribution,
     run_fedsam,
     sample_output_index,
@@ -209,7 +210,7 @@ class TestLocalStep:
             failures.append((err.value.step, err.value.agent))
         assert failures == [earliest, earliest]
         step, agent = earliest
-        # the failing agent is still in its first block, and its entries are finite there
+        # the failing agent has not yet met a barrier, and its entries are finite there
         noise = problem.make_noise(agent, stream(cfg.master_seed, TAG_NOISE, agent))
         theta = start.copy()
         with np.errstate(over="ignore"):
@@ -294,6 +295,29 @@ class TestSyncErrors:
             thetas = rng.standard_normal((5, 4))
             delta, omega = sync_errors(thetas, "l2")
             assert delta**2 <= omega + 1e-12
+
+    @pytest.mark.parametrize("kind", ["sup", "l2"])
+    def test_equals_per_row_definition_bit_for_bit(self, kind):
+        def per_row(thetas):
+            if (thetas == thetas[0]).all():
+                return 0.0, 0.0
+            mean = thetas.mean(axis=0)
+            dists = np.array([norm(mean - row, kind) for row in thetas])
+            return float(dists.mean()), float((dists**2).mean())
+
+        rng = np.random.default_rng(2)
+        # few distinct values, +-0.0 among them, give tied entries and tied
+        # rows; copies of one row are the state right after a barrier
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -3.0])
+        for case in range(600):
+            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 5)))
+            thetas = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
+            if case % 3 == 1:
+                thetas = rng.choice(pool, shape)
+            elif case % 3 == 2:
+                thetas[:] = thetas[0]
+            got, want = sync_errors(thetas, kind), per_row(thetas)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), thetas
 
 
 class TestProblemRegistration:
@@ -405,6 +429,37 @@ class TestRunFedsam:
         cfg = FedRunConfig(n_agents=3, sync_period=1, step_size=0.1, horizon=10, output_c=0.9, master_seed=0)
         with pytest.raises(ValueError, match="n_agents"):
             run_fedsam(prob, cfg)
+
+
+class TestBlockEnds:
+    """Blocks end at barriers and at the recorded points, nowhere else."""
+
+    @pytest.mark.parametrize("kind", [None, Q_LEARNING])
+    def test_blocks_end_at_barriers_checkpoints_and_output_time(self, kind):
+        if kind is None:
+            problem = iid_problem(n_agents=2)
+        else:
+            params = GeneratorParams(n_states=4, n_actions=2, branching=2, n_agents=2)
+            problem = build_problem(generate_instance(kind, params, seed=4))
+        calls = []
+        run_block = problem.run_block
+
+        def recorded(agent, theta, noise, t_start, t_stop, alpha):
+            calls.append((agent, t_start, t_stop))
+            return run_block(agent, theta, noise, t_start, t_stop, alpha)
+
+        problem.run_block = recorded
+        big_t, k, stride = 30, 4, 3
+        cfg = FedRunConfig(n_agents=2, sync_period=k, step_size=0.1, horizon=big_t,
+                           output_c=0.9, master_seed=1, checkpoint_stride=stride)
+        trace = run_fedsam(problem, cfg)
+        t_hat = trace.output_index
+        assert t_hat % k and t_hat % stride  # inside a sync period, off the checkpoints
+        ends = sorted(set(range(k, big_t + 1, k)) | set(range(stride, big_t + 1, stride))
+                      | {t_hat, big_t})
+        for agent in range(2):
+            blocks = [(t_start, t_stop) for i, t_start, t_stop in calls if i == agent]
+            assert blocks == list(zip([0] + ends[:-1], ends))
 
 
 class TestNoiseAverageDiagnostic:
