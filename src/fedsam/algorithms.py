@@ -549,6 +549,7 @@ class QLearningRows:
     the table entries each step reads are gathered for all of its steps at
     once. `step` then applies `QLearningProblem.run_block`'s arithmetic,
     elementwise in the same order; `np.where(c > m, c, m)` is Python's `max`.
+    `run` steps a block and holds the finite guard.
     """
 
     LOOKAHEAD = 256
@@ -557,6 +558,7 @@ class QLearningRows:
         n_states, n_actions = problem.mdp.n_states, problem.n_actions
         self.dim, self.n_states, self.n_actions = problem.dim, n_states, n_actions
         self.gamma, self.q_star, self.gamma_q_max = problem.gamma, problem.q_star, problem.gamma_q_max
+        self.bound = problem.finite_bound
         self.b_flat = problem.b_table.reshape(-1)
         self.rngs = [chain.rng for chain in chains]
         self.sa = np.array([chain.states[0] * n_actions + chain.actions[0] for chain in chains])
@@ -598,6 +600,25 @@ class QLearningRows:
         self.b = self.b_flat[sa_steps * self.n_states + s2_steps]
         self.j, self.k = 0, k
 
+    def run(self, thetas: np.ndarray, t: int, t_stop: int, alpha: float) -> list[tuple[int, int]]:
+        """Step every row of thetas from t to t_stop in place; returns the
+        (step, row) of each row's first step whose isfinite(np.add.reduce(row))
+        fails. Rows change between blocks only at barriers, so every row is
+        scanned at block start: while all its entries lie inside
+        +-finite_bound its sum is finite, and only the entries each step
+        writes are watched. A row is summed only while it is not watched.
+        """
+        bound = self.bound
+        watch = np.maximum.reduce(np.abs(thetas), axis=1) < bound
+        failed: dict[int, int] = {}
+        for step in range(t, t_stop):
+            watch &= np.abs(self.step(thetas, alpha)) < bound
+            if not watch.all():
+                summed = np.flatnonzero(~watch)
+                for row in summed[~np.isfinite(np.add.reduce(thetas[summed], axis=1))].tolist():
+                    failed.setdefault(row, step)
+        return [(step, row) for row, step in failed.items()]
+
     def step(self, thetas: np.ndarray, alpha: float) -> np.ndarray:
         """One step of every row of thetas, written in place; returns the written entries."""
         if self.j == self.k:
@@ -617,19 +638,6 @@ class QLearningRows:
         v = th + alpha * (((th + acc) - th) + self.b[j])
         flat[idx] = v
         return v
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the rows where mask is False; the rest move up in order."""
-        row_off = np.arange(int(mask.sum())) * self.dim
-        shift = row_off - self.row_off[mask]
-        self.rngs = [rng for rng, kept in zip(self.rngs, mask) if kept]
-        self.sa, self.s2, self.policy_base = self.sa[mask], self.s2[mask], self.policy_base[mask]
-        self.row_off = row_off
-        if self.j < self.k:
-            self.written = self.written[:, mask] + shift
-            self.next_row = self.next_row[:, mask] + shift[:, None]
-            self.q_next, self.gamma_q_next = self.q_next[:, mask], self.gamma_q_next[:, mask]
-            self.b = self.b[:, mask]
 
 
 # ---------------------------------------------------------------------------

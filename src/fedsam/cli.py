@@ -81,7 +81,10 @@ def _resolve_seed(args, cfg: dict, default: int = 0) -> int:
             return int(env)
         except ValueError as exc:
             raise UsageError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
-    return int(cfg.get("master_seed", default))
+    seed = cfg.get("master_seed", default)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise UsageError(f"master_seed must be an integer, got {seed!r}")
+    return seed
 
 
 def _print_constants(instance) -> None:
@@ -251,7 +254,7 @@ def _run_or_sweep(args, defaults: dict, single_cell: bool) -> int:
         params.update(file_cfg["params"])
         cfg["params"] = params
     cfg = _apply_overrides(cfg, args.set)
-    seed = _resolve_seed(args, cfg, default=int(cfg.get("master_seed", 0)))
+    seed = _resolve_seed(args, cfg)
     spec = _spec_from_config(cfg, seed)
     if single_cell and len(spec.cells()) != 1:
         raise UsageError(

@@ -49,9 +49,9 @@ class FedSamProblem:
 
     A problem with a row step sets `lockstep_min_rows`, the batch size in
     rows (trials x agents) from which its `lockstep(chains, horizon)` rows
-    beat `run_block`. Those rows advance every chain of a batch by one step
-    per `step(thetas, alpha)` call, write one entry of each row of thetas,
-    and return the written values; `keep(mask)` drops rows.
+    beat `run_block`. Their `run(thetas, t, t_stop, alpha)` advances every
+    row of thetas in place from step t to t_stop, each on its own chain, and
+    returns the (step, row) of each row's first failing step.
     """
 
     lockstep_min_rows: ClassVar[int | None] = None
@@ -289,9 +289,9 @@ def run_batch(problem: FedSamProblem, configs: list[FedRunConfig]) -> list:
 
     Returns each trial's RunTrace, or the DivergenceError that ended it, as
     the trial run alone gives them. A batch of at least the problem's
-    `lockstep_min_rows` rows (trials x agents) runs in lockstep; any other
-    batch runs its trials one after another, each agent one `run_block`
-    call per block.
+    `lockstep_min_rows` rows (trials x agents) runs as one batch, its rows
+    stepped together by the problem's `lockstep` rows; below that, each trial
+    runs alone, each agent one `run_block` call per block.
     """
     for config in configs:
         if config.n_agents != problem.n_agents:
@@ -302,133 +302,101 @@ def run_batch(problem: FedSamProblem, configs: list[FedRunConfig]) -> list:
         raise ValueError("the trials of a batch share one step size and one horizon")
     limit = problem.lockstep_min_rows
     if limit is not None and len(configs) * problem.n_agents >= limit:
-        return _run_lockstep(problem, configs)
-    outcomes = []
-    for config in configs:
-        try:
-            outcomes.append(_run_blocks(problem, config))
-        except DivergenceError as exc:
-            outcomes.append(exc)
-    return outcomes
+        return _run(problem, configs, lockstep=True)
+    return [_run(problem, [config], lockstep=False)[0] for config in configs]
 
 
-def _run_blocks(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
-    """One trial, agent after agent through each block.
-
-    A block ends at the next sync barrier or the next recorded point,
-    whichever comes first, so the engine reads the agents at block ends only.
-    """
-    n_agents, k = config.n_agents, config.sync_period
-    alpha_eff = config.step_size * problem.step_scale
-    trial = _Recorder(config, problem.norm_kind)
-    thetas, noises = _start(problem, [config])
-    rows = list(thetas)  # views: an agent's block may write its row in place
-    col_sum = np.add.reduce  # col_sum(m, 0) / len(m) is m.mean(axis=0), bit for bit
-
-    trial.record(0, thetas)
-
+def _agent_blocks(problem: FedSamProblem, thetas: np.ndarray, noises: list) -> Callable:
+    """The advancer of a trial below the lockstep limit: each agent row one
+    `run_block` call per block, run to its end or to its failing step."""
     run_block = problem.run_block
-    t = 0
-    # blow-ups become the diverged marker; entered once, not once per block
-    with np.errstate(over="ignore", invalid="ignore"):
-        for point in trial.points[1:]:
-            while t < point:
-                t_stop = min((t // k + 1) * k, point)
-                failed = None
-                for agent in range(n_agents):
-                    row = rows[agent]
-                    try:
-                        end = run_block(agent, row, noises[agent], t, t_stop, alpha_eff)
-                    except DivergenceError as exc:
-                        if failed is None or exc.step < failed.step:
-                            failed = exc
-                        continue
-                    if end is not row:
-                        row[:] = end
-                if failed is not None:
-                    raise failed
-                if t_stop % k == 0:
-                    thetas[:] = col_sum(thetas, 0) / n_agents  # in-place sync barrier
-                t = t_stop
-            trial.record(t, thetas)
-    return trial.trace(thetas)
+    rows = list(enumerate(zip(thetas, noises)))  # views of thetas, built once; row = agent
+
+    def run(_thetas: np.ndarray, t: int, t_stop: int, alpha: float) -> list[tuple[int, int]]:
+        failed = []
+        for agent, (theta, noise) in rows:
+            try:
+                end = run_block(agent, theta, noise, t, t_stop, alpha)
+            except DivergenceError as exc:
+                failed.append((exc.step, agent))
+                continue
+            if end is not theta:
+                theta[:] = end
+        return failed
+
+    return run
 
 
-def _run_lockstep(problem: FedSamProblem, configs: list[FedRunConfig]) -> list:
-    """All trials of a batch, one step at a time, every agent row at once.
+def _run(problem: FedSamProblem, configs: list[FedRunConfig], lockstep: bool) -> list:
+    """The trials of a batch, every agent row advanced between the same block ends.
 
-    Rows [p n, (p + 1) n) of `thetas` are the agents of the trial at position
-    p of `active`. Each trial keeps its own blocks, barriers, checkpoints and
-    t_hat. The finite guard is the block kernels': a row whose block of k > 1
-    steps starts with every entry inside +-finite_bound checks only the entry
-    each step writes; after a write at or past the bound, and in one-step
-    blocks, it sums the row. A trial whose row fails leaves the batch with the
-    step and its lowest failing agent, the earliest (step, agent) its
-    sequential run reports; the others go on.
+    Rows [b n, (b + 1) n) of `thetas` are the agents of trial b. A block ends
+    at the next step where some live trial syncs or records (a checkpoint or
+    its t_hat), so the engine reads the agents at block ends only. The
+    advancer, `run(thetas, t, t_stop, alpha)`, steps every row from t to
+    t_stop and returns the (step, row) of each row's first failing step; a
+    trial fails with its earliest step and, at that step, its lowest agent, as
+    it does alone. Its rows stay in place but take no further barrier or
+    record, and the batch ends once every trial has failed.
     """
     n, big_t = problem.n_agents, configs[0].horizon
     alpha_eff = configs[0].step_size * problem.step_scale
-    bound = problem.finite_bound
     trials = [_Recorder(config, problem.norm_kind) for config in configs]
-    outcomes: list = [None] * len(configs)
-    thetas, chains = _start(problem, configs)
-    rows = problem.lockstep(chains, big_t)
-    watch = np.zeros(len(thetas), dtype=bool)
-    records: dict[int, list[int]] = {}  # step -> the trials that record there
+    outcomes: list = [None] * len(configs)  # None while the trial is live
+    thetas, noises = _start(problem, configs)
+    if lockstep:
+        run = problem.lockstep(noises, big_t).run
+    else:
+        run = _agent_blocks(problem, thetas, noises)
+    mats = list(thetas.reshape(len(configs), n, -1))  # views: each trial's agent rows
+    # per step, bit masks of the trials that sync and that record: no container per step
+    sync_at, read_at, ends = [0] * (big_t + 1), [0] * (big_t + 1), set()
     for b, trial in enumerate(trials):
-        for t in trial.points:
-            records.setdefault(t, []).append(b)
-    periods = sorted({trial.k for trial in trials})
-    active = list(range(len(configs)))  # trial index at each position
+        syncs, reads = range(trial.k, big_t + 1, trial.k), trial.points[1:]
+        for t in syncs:
+            sync_at[t] |= 1 << b
+        for t in reads:
+            read_at[t] |= 1 << b
+        ends.update(syncs, reads)
+    members = _Members()
+    live = (1 << len(trials)) - 1  # the trials not failed yet
 
-    def layout():
-        """Each active trial's position, and the positions of each sync period."""
-        position = {b: p for p, b in enumerate(active)}
-        by_k = [(k, [p for p, b in enumerate(active) if trials[b].k == k]) for k in periods]
-        return position, [(k, ps) for k, ps in by_k if ps]
-
-    position, by_k = layout()
-    view = thetas.reshape(len(active), n, -1)
-    for b in records[0]:
-        trials[b].record(0, view[b])
+    col_sum = np.add.reduce  # col_sum(m, 0) / len(m) is m.mean(axis=0), bit for bit
+    t = 0
+    # blow-ups become the diverged marker; entered once, not once per block
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(big_t):
-            for k, ps in by_k:
-                if k > 1 and t % k == 0:  # their blocks start
-                    if min(t + k, big_t) - t > 1:
-                        inside = np.maximum.reduce(np.abs(view[ps]), axis=2) < bound
-                    else:
-                        inside = False
-                    watch.reshape(-1, n)[ps] = inside
-            written = rows.step(thetas, alpha_eff)
-            watch &= np.abs(written) < bound
-            if not watch.all():
-                summed = ~watch
-                finite = np.isfinite(np.add.reduce(thetas[summed], axis=1))
-                if not finite.all():
-                    gone = {}
-                    for r in np.flatnonzero(summed)[~finite].tolist():
-                        gone.setdefault(r // n, r % n)  # ascending rows: the lowest agent first
-                    for p, agent in gone.items():
-                        outcomes[active[p]] = DivergenceError(t, agent)
-                    keep = np.repeat([p not in gone for p in range(len(active))], n)
-                    active = [b for p, b in enumerate(active) if p not in gone]
-                    if not active:
-                        return outcomes
-                    thetas, watch = thetas[keep], watch[keep]
-                    rows.keep(keep)
-                    view = thetas.reshape(len(active), n, -1)
-                    position, by_k = layout()
-            t_next = t + 1
-            sync = [p for k, ps in by_k if t_next % k == 0 for p in ps]
-            if sync:  # the barriers; np.add.reduce(m, 1) is each trial's np.add.reduce(m_p, 0)
-                view[sync] = (np.add.reduce(view[sync], 1) / n)[:, None]
-            for b in records.get(t_next, ()):
-                if b in position:
-                    trials[b].record(t_next, view[position[b]])
-    for p, b in enumerate(active):
-        outcomes[b] = trials[b].trace(view[p])
-    return outcomes
+        for b, trial in enumerate(trials):
+            trial.record(0, mats[b])
+        for t_stop in sorted(ends):
+            syncing, recording = sync_at[t_stop] & live, read_at[t_stop] & live
+            if not (syncing or recording):
+                continue
+            failed = run(thetas, t, t_stop, alpha_eff)
+            t = t_stop
+            if failed:
+                for step, row in sorted(failed):  # a trial's earliest step, then its lowest agent
+                    b = row // n
+                    if live >> b & 1:
+                        outcomes[b] = DivergenceError(step, row % n)
+                        live &= ~(1 << b)
+                if not live:
+                    return outcomes
+                syncing, recording = syncing & live, recording & live
+            for b in members[syncing]:  # the in-place sync barrier
+                mat = mats[b]
+                mat[:] = col_sum(mat, 0) / n
+            for b in members[recording]:
+                trials[b].record(t, mats[b])
+    return [trial.trace(mats[b]) if outcomes[b] is None else outcomes[b]
+            for b, trial in enumerate(trials)]
+
+
+class _Members(dict):
+    """Bit mask -> the trials whose bits it sets, ascending; filled on first use."""
+
+    def __missing__(self, mask: int) -> list[int]:
+        self[mask] = trials = [b for b in range(mask.bit_length()) if mask >> b & 1]
+        return trials
 
 
 def noise_average_diagnostic(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 import os
 import time
 import warnings
@@ -43,6 +44,16 @@ TAG_IID = 12
 K_RULE_T_OVER_N = "T_over_N"
 
 
+def _check_ints(key: str, values, low: int | None = 1) -> None:
+    """Raise a ValueError naming `key` unless every value is an integer (not
+    a bool) of at least `low`."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise ValueError(f"{key} must be >= {low}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Instance generation
 # ---------------------------------------------------------------------------
@@ -62,14 +73,13 @@ class GeneratorParams:
     eps_ergodic: float = 0.01
 
     def validate(self) -> None:
-        if self.n_states < 1 or self.n_actions < 1 or self.branching < 1:
-            raise ValueError("n_states, n_actions, branching must be positive")
+        for key in ("n_states", "n_actions", "branching", "n_step", "n_agents"):
+            _check_ints(key, [getattr(self, key)])
+        _check_ints("d", [self.d], low=None)
         if self.d > self.n_states:
             raise ValueError("feature dimension d must not exceed n_states")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.n_step < 1 or self.n_agents < 1:
-            raise ValueError("n_step and n_agents must be positive")
         if not 0 < self.eps_cov < 1 or not 0 < self.eps_ergodic < 1:
             raise ValueError("eps_cov and eps_ergodic must lie in (0, 1)")
 
@@ -202,16 +212,25 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.kind not in algorithms.KINDS:
             raise ValueError(f"unknown algorithm kind {self.kind!r}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        _check_ints("replications", [self.replications])
+        _check_ints("horizon", [self.horizon])
+        _check_ints("master_seed", [self.master_seed], low=None)
+        if self.checkpoint_stride is not None:
+            _check_ints("checkpoint_stride", [self.checkpoint_stride])
         if not self.n_agents_grid or not self.alpha_grid:
             raise ValueError("grid must be non-empty")
-        if isinstance(self.sync_periods, str) and self.sync_periods != K_RULE_T_OVER_N:
-            raise ValueError(f"unknown sync-period rule {self.sync_periods!r}")
-        if isinstance(self.sync_periods, list) and not self.sync_periods:
+        _check_ints("n_agents_grid", self.n_agents_grid)
+        for alpha in self.alpha_grid:
+            if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+                    or not (math.isfinite(alpha) and alpha >= 0)):
+                raise ValueError(f"alpha_grid must hold finite numbers >= 0, got {alpha!r}")
+        if isinstance(self.sync_periods, str):
+            if self.sync_periods != K_RULE_T_OVER_N:
+                raise ValueError(f"unknown sync-period rule {self.sync_periods!r}")
+        elif not self.sync_periods:
             raise ValueError("sync_periods must be non-empty")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        else:
+            _check_ints("sync_periods", self.sync_periods)
         if max(self.n_agents_grid) > self.params.n_agents and self.mdp_path is None:
             raise ValueError("params.n_agents must cover the largest grid N")
         self.params.validate()

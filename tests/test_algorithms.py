@@ -383,6 +383,37 @@ class TestFiniteGuard:
                                                      theta, 0, 64, 3.0)
         assert end is None and step > 0
 
+    @pytest.mark.parametrize("kind", [OFF_POLICY_TD_TABULAR, Q_LEARNING])
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_a_barrier_overflow_is_seen_at_the_next_block_start(self, kind, k):
+        # every row starts inside the bound, with one entry at 0.9 bound in all
+        # five agents: the barrier's average overflows to inf in an entry that
+        # the next step may not write, so only the block-start scan sees it
+        params = GeneratorParams(n_states=2, n_actions=1, branching=2, gamma=0.8, n_agents=5)
+        inst = generate_instance(kind, params, seed=1)
+        problem, generic = build_problem(inst), build_problem(inst)
+        generic.run_block = functools.partial(FedSamProblem.run_block, generic)
+
+        def outcome(p, config):
+            try:
+                return run_fedsam(p, config).theta_bar_series.tobytes()
+            except DivergenceError as exc:
+                return exc.step, exc.agent
+
+        after_a_barrier = 0
+        for entry in range(inst.dim):
+            theta = np.ones(inst.dim)
+            theta[entry] = 0.9 * problem.finite_bound
+            for p in (problem, generic):
+                p.initial_theta = theta
+            for alpha in (0.01, 0.1, 0.5):
+                for seed in range(3):
+                    config = FedRunConfig(5, k, alpha, 32, 0.9, seed, checkpoint_stride=32)
+                    got = outcome(problem, config)
+                    assert got == outcome(generic, config)
+                    after_a_barrier += got == (k, 0)
+        assert after_a_barrier
+
 
 class TestBuiltProblems:
     @pytest.mark.parametrize("kind", KINDS)

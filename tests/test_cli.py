@@ -149,6 +149,26 @@ class TestRunAndSweep:
     def test_mistyped_override_exits_2(self, tmp_path):
         assert run_cli("sweep", "--out", str(tmp_path), "--set", "horizon=notanumber") == 2
 
+    @pytest.mark.parametrize("override, key", [
+        ("replications=2.5", "replications"),
+        ("n_agents_grid=[2.5]", "n_agents_grid"),
+        ("sync_periods=[2.5]", "sync_periods"),
+        ("checkpoint_stride=1.5", "checkpoint_stride"),
+        ("params.n_states=4.5", "n_states"),
+        ("horizon=true", "horizon"),
+        ("horizon=4.0", "horizon"),
+        ("alpha_grid=[NaN]", "alpha_grid"),
+        ("alpha_grid=[Infinity]", "alpha_grid"),
+        ("alpha_grid=[-0.1]", "alpha_grid"),
+        ("alpha_grid=[true]", "alpha_grid"),
+        ("master_seed=1.5", "master_seed"),
+    ])
+    def test_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, override, key):
+        assert run_cli("run", "--out", str(tmp_path), "--set", override) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg = {
             "name": "cfg",

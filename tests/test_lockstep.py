@@ -205,6 +205,29 @@ class TestLockstepGuard:
                     seen["diverged at once"] += 1
         assert all(seen.values()), seen
 
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_a_barrier_overflow_is_seen_at_the_next_block_start(self, k):
+        # every row starts inside the bound, with one entry at 0.9 bound in all
+        # five agents: the barrier's average overflows to inf in an entry that
+        # the next step may not write, so only the block-start scan sees it
+        params = GeneratorParams(n_states=2, n_actions=1, branching=2, gamma=0.8, n_agents=5)
+        inst = generate_instance(Q_LEARNING, params, seed=1)
+        lockstep, generic = build_problem(inst), scalar_problem(inst, generic=True)
+        lockstep.lockstep_min_rows = 1
+        after_a_barrier = 0
+        for entry in range(inst.dim):
+            theta = np.ones(inst.dim)
+            theta[entry] = 0.9 * lockstep.finite_bound
+            for problem in (lockstep, generic):
+                problem.initial_theta = theta
+            for alpha in (0.01, 0.1, 0.5):
+                configs = [FedRunConfig(5, k, alpha, 32, 0.9, r, checkpoint_stride=32)
+                           for r in range(3)]
+                got, want = run_batch(lockstep, configs), run_alone(generic, configs)
+                assert [outcome_key(o) for o in got] == [outcome_key(o) for o in want]
+                after_a_barrier += sum(isinstance(o, DivergenceError) and o.step == k for o in got)
+        assert after_a_barrier
+
 
 class TestDivergenceInsideABatch:
     # found by search: at alpha 6 and T = 1113 the K = 1 trials stay finite and
@@ -231,7 +254,7 @@ class TestDivergenceInsideABatch:
             (64, "diverged", 1097, 1), (64, "diverged", 1093, 0), (64, "diverged", 1104, 1),
         ]
 
-    def test_a_diverged_trial_leaves_the_batch(self):
+    def test_a_diverged_trial_stays_in_the_batch(self):
         spec = ExperimentSpec(**self.SPEC)
         inst = generate_instance(Q_LEARNING, spec.params, spec.master_seed)
         problem = build_problem(inst)
@@ -239,10 +262,23 @@ class TestDivergenceInsideABatch:
         trials = run_trials(problem, theory_constants(inst),
                             [Cell(3, 1, 6.0, 1113), Cell(3, 64, 6.0, 1113)], range(3), 3)
         assert [t.status for t in trials] == ["ok"] * 3 + ["diverged"] * 3
-        rows = counter.rows_per_step
-        assert len(rows) == 1113  # the finite trials run to T
-        # three rows go at each failing step, after the step that fails
-        assert rows[:1094] == [18] * 1094
-        assert rows[1094:1098] == [15] * 4
-        assert rows[1098:1105] == [12] * 7
-        assert rows[1105:] == [9] * (1113 - 1105)
+        # a failed trial's rows stay in place, masked: every row steps to T
+        assert counter.rows_per_step == [18] * 1113
+
+    def test_a_batch_of_failed_trials_stops_after_the_last_failing_step(self):
+        spec = ExperimentSpec(**self.SPEC)
+        inst = generate_instance(Q_LEARNING, spec.params, spec.master_seed)
+        problem = build_problem(inst)
+        counter = RowCounter(problem)
+        cell = Cell(3, 64, 6.0, 1113)
+        trials = run_trials(problem, theory_constants(inst), [cell], range(6), 3)
+        assert [(t.status, t.diverged_step, t.diverged_agent) for t in trials] == [
+            (run.status, run.diverged_step, run.diverged_agent)
+            for run in (run_trial(inst, cell, rep, spec.master_seed) for rep in range(6))
+        ]
+        assert all(t.status == "diverged" for t in trials)
+        last = max(t.diverged_step for t in trials)
+        assert last == 1104
+        # the block that holds the last failing step ends at the next checkpoint
+        # (a stride of 2 at T = 1113), and no row steps past it
+        assert counter.rows_per_step == [18] * 1106
