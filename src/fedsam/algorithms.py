@@ -18,7 +18,6 @@ from operator import add
 import numpy as np
 
 from .engine import NORM_L2, NORM_SUP, FedSamProblem
-from .errors import ErgodicityError
 from .mdp import (
     FeatureMatrix,
     Mdp,
@@ -34,7 +33,7 @@ from .mdp import (
     stationary_distribution,
     value_function_oracle,
 )
-from .errors import DivergenceError
+from .errors import DivergenceError, ErgodicityError
 from .sampling import AgentChain, MixingEstimate, invert_rows, mixing_diagnostics, pad_cdf
 
 ON_POLICY_TD_LFA = "on_policy_td_lfa"
@@ -305,8 +304,8 @@ class _InstanceProblem(FedSamProblem):
 
     Subclasses hold arrays and plain lists only, so a built problem pickles.
     The block kernels of the tabular kinds read Python floats (per-state rows
-    as lists, (s, a, s') tables through `.item`): the same doubles as the
-    operators read, so the same bits.
+    as lists): the same doubles as the operators read, so the same bits. Their
+    noise terms come from O(S A) rows, in an (s, a, s') broadcast's order.
 
     Their `run_block` kernels draw a block's 2k uniforms in one call and walk
     the chain inline; a finished block leaves the chain and its generator as
@@ -379,8 +378,8 @@ class OffPolicyTdProblem(_InstanceProblem):
         mdp, v_pi = instance.mdp, instance.fixed_point
         self.gamma = mdp.gamma
         self.ratios = [importance_ratio_table(instance.target, b) for b in instance.behaviors]
-        # the temporal difference at the fixed point depends on (s, a, s') only
-        self.td = mdp.reward[:, :, None] + mdp.gamma * v_pi[None, None, :] - v_pi[:, None, None]
+        # the temporal difference at the fixed point, (r(s, a) + gamma V(s')) - V(s)
+        self._td_rows = mdp.reward.tolist(), v_pi.tolist()
         self._ratio_rows = [r.tolist() for r in self.ratios]
         super().__init__(instance, instance.n_step, NORM_SUP, -v_pi)
 
@@ -401,7 +400,7 @@ class OffPolicyTdProblem(_InstanceProblem):
 
     def apply_b(self, i: int, y) -> np.ndarray:
         states, actions = y
-        gamma, table, td = self.gamma, self.ratios[i], self.td
+        gamma, table, (reward, v_pi) = self.gamma, self.ratios[i], self._td_rows
         out = np.zeros(self.dim)
         acc = 0.0
         g_pow = 1.0
@@ -409,7 +408,7 @@ class OffPolicyTdProblem(_InstanceProblem):
         for l in range(self.window_n):
             s, a, s2 = int(states[l]), int(actions[l]), int(states[l + 1])
             prod *= table[s, a]
-            acc += g_pow * prod * td[s, a, s2]
+            acc += g_pow * prod * ((reward[s][a] + gamma * v_pi[s2]) - v_pi[s])
             g_pow *= gamma
         out[int(states[0])] = acc
         return out
@@ -427,7 +426,7 @@ class OffPolicyTdProblem(_InstanceProblem):
         draws = iter(noise.rng.random(2 * k).tolist())
         n, n_actions, n_states = self.window_n, noise.n_actions, noise.n_states
         policy_cdf, trans_cdf = noise.policy_cdf, noise.trans_cdf
-        gamma, table, td, item = self.gamma, self._ratio_rows[i], self.td.item, theta.item
+        gamma, table, item, reward, v_pi = self.gamma, self._ratio_rows[i], theta.item, *self._td_rows
         watch, bound = k > 1 and self._inside_bound(theta), self.finite_bound
         states, actions = list(noise.states), list(noise.actions)
         j = 0
@@ -438,14 +437,14 @@ class OffPolicyTdProblem(_InstanceProblem):
             prod = table[s0][a]
             th = item(s0)
             acc_g = 0.0 + prod * (gamma * item(s2) - th)
-            acc_b = 0.0 + prod * td(s0, a, s2)
+            acc_b = 0.0 + prod * ((reward[s0][a] + gamma * v_pi[s2]) - v_pi[s0])
             g_pow = gamma
             for l in range(j + 1, j + n):
                 s, a, s2 = states[l], actions[l], states[l + 1]
                 prod *= table[s][a]
                 weight = g_pow * prod
                 acc_g += weight * (gamma * item(s2) - item(s))
-                acc_b += weight * td(s, a, s2)
+                acc_b += weight * ((reward[s][a] + gamma * v_pi[s2]) - v_pi[s])
                 g_pow *= gamma
             v = th + alpha * (((th + acc_g) - th) + acc_b)
             theta[s0] = v
@@ -480,8 +479,8 @@ class QLearningProblem(_InstanceProblem):
         self.gamma, self.n_actions = mdp.gamma, mdp.n_actions
         self.q_star = q_star
         self.gamma_q_max = mdp.gamma * q_star.max(axis=1)
-        # b depends on (s, a, s') only; precompute the whole table
-        self.b_table = mdp.reward[:, :, None] + self.gamma_q_max[None, None, :] - q_star[:, :, None]
+        # b at (s, a, s') is (r(s, a) + gamma max Q*(s')) - Q*(s, a)
+        self._reward_rows = mdp.reward.tolist()
         self._q_rows, self._gamma_q_max = q_star.tolist(), self.gamma_q_max.tolist()
         super().__init__(instance, 1, NORM_SUP, -q_star.reshape(-1))
 
@@ -498,7 +497,7 @@ class QLearningProblem(_InstanceProblem):
         states, actions = y
         s, a, s2 = int(states[0]), int(actions[0]), int(states[1])
         out = np.zeros(self.dim)
-        out[s * self.n_actions + a] = self.b_table[s, a, s2]
+        out[s * self.n_actions + a] = (self._reward_rows[s][a] + self._gamma_q_max[s2]) - self._q_rows[s][a]
         return out
 
     def run_block(self, i: int, theta: np.ndarray, noise: AgentChain, t_start: int,
@@ -512,8 +511,8 @@ class QLearningProblem(_InstanceProblem):
         draws = iter(noise.rng.random(2 * k).tolist())
         n_actions, n_states = self.n_actions, noise.n_states
         policy_cdf, trans_cdf = noise.policy_cdf, noise.trans_cdf
-        gamma, q_rows, gamma_q_max = self.gamma, self._q_rows, self._gamma_q_max
-        b_item, item = self.b_table.item, theta.item
+        gamma, q_rows, gamma_q_max, item = self.gamma, self._q_rows, self._gamma_q_max, theta.item
+        reward = self._reward_rows
         watch, bound = k > 1 and self._inside_bound(theta), self.finite_bound
         (s, s2), (a,) = noise.states, noise.actions
         for t, u_action, u_state in zip(range(t_start, t_stop), draws, draws):
@@ -522,7 +521,7 @@ class QLearningProblem(_InstanceProblem):
             idx = s * n_actions + a
             th = item(idx)
             acc = gamma * shifted_max - th - gamma_q_max[s2]
-            v = th + alpha * (((th + acc) - th) + b_item(s, a, s2))
+            v = th + alpha * (((th + acc) - th) + ((reward[s][a] + gamma_q_max[s2]) - q_rows[s][a]))
             theta[idx] = v
             # the walk from S_t+1, as AgentChain.advance; its action row starts at lo
             s, a = s2, bisect_right(policy_cdf, u_action, lo, lo + n_actions) - lo
@@ -556,10 +555,10 @@ class QLearningRows:
 
     def __init__(self, problem: QLearningProblem, chains: list[AgentChain], horizon: int):
         n_states, n_actions = problem.mdp.n_states, problem.n_actions
-        self.dim, self.n_states, self.n_actions = problem.dim, n_states, n_actions
+        self.dim, self.n_actions = problem.dim, n_actions
         self.gamma, self.q_star, self.gamma_q_max = problem.gamma, problem.q_star, problem.gamma_q_max
         self.bound = problem.finite_bound
-        self.b_flat = problem.b_table.reshape(-1)
+        self.reward_flat, self.q_flat = problem.mdp.reward.reshape(-1), problem.q_star.reshape(-1)
         self.rngs = [chain.rng for chain in chains]
         self.sa = np.array([chain.states[0] * n_actions + chain.actions[0] for chain in chains])
         self.s2 = np.array([chain.states[1] for chain in chains])
@@ -597,7 +596,7 @@ class QLearningRows:
         self.next_row = (self.row_off + s2_steps * n_actions)[..., None] + np.arange(n_actions)
         self.q_next = self.q_star[s2_steps]
         self.gamma_q_next = self.gamma_q_max[s2_steps]
-        self.b = self.b_flat[sa_steps * self.n_states + s2_steps]
+        self.b = (self.reward_flat[sa_steps] + self.gamma_q_next) - self.q_flat[sa_steps]
         self.j, self.k = 0, k
 
     def run(self, thetas: np.ndarray, t: int, t_stop: int, alpha: float) -> list[tuple[int, int]]:

@@ -97,7 +97,8 @@ def generate_mdp(params: GeneratorParams, rng: np.random.Generator) -> Mdp:
         for a in range(a_n):
             succ = rng.choice(s_n, size=width, replace=False)
             trans[s, a, succ] = rng.dirichlet(np.ones(width))
-    trans = (1.0 - params.eps_ergodic) * trans + params.eps_ergodic / s_n
+    trans *= 1.0 - params.eps_ergodic
+    trans += params.eps_ergodic / s_n
     reward = rng.uniform(0.0, 1.0, size=(s_n, a_n))
     return Mdp(n_states=s_n, n_actions=a_n, transition=trans, reward=reward, gamma=params.gamma)
 
@@ -464,11 +465,7 @@ class SweepResult:
     constants: TheoryConstants
 
     def stats_for(self, **match) -> list[CellStats]:
-        out = []
-        for st in self.cell_stats:
-            if all(getattr(st, k) == v for k, v in match.items()):
-                out.append(st)
-        return out
+        return [st for st in self.cell_stats if all(getattr(st, k) == v for k, v in match.items())]
 
 
 _SweepSetup = dict[int, tuple[AlgorithmInstance, FedSamProblem, TheoryConstants]]
@@ -592,7 +589,9 @@ def _aggregate(cells: list[Cell], trials: list[TrialResult], reps: int) -> list[
             mean, se = float("nan"), float("nan")
         else:
             mean = float(np.mean(ok))
-            se = float(np.std(ok, ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else 0.0
+            # scaled by the largest MSE only where a sum of n_ok squares could overflow
+            scale = max(ok) if max(ok) > math.sqrt(np.finfo(float).max / n_ok) else 1.0
+            se = float(scale * np.std(np.divide(ok, scale), ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else 0.0
         stats.append(
             CellStats(
                 cell.n_agents, cell.sync_period, cell.alpha, cell.horizon,

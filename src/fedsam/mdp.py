@@ -39,7 +39,9 @@ def cdf_table(rows: np.ndarray) -> array:
     """
     cum = np.cumsum(rows, axis=-1)
     cum[..., -1] = 1.0
-    return array("d", cum.tobytes())
+    table = array("d")
+    table.frombytes(memoryview(cum).cast("B"))
+    return table
 
 
 @dataclass(frozen=True)
@@ -424,8 +426,7 @@ def importance_ratio_table(target: Policy, behavior: Policy) -> np.ndarray:
         s, a = np.argwhere(bad)[0]
         raise CoverageError(f"behavior policy has zero mass at (s={s}, a={a}) where target does not")
     with np.errstate(invalid="ignore", divide="ignore"):
-        table = np.where(behavior.probs > 0.0, target.probs / behavior.probs, 0.0)
-    return table
+        return np.where(behavior.probs > 0.0, target.probs / behavior.probs, 0.0)
 
 
 def importance_ratio_max(target: Policy, behaviors: list[Policy]) -> float:

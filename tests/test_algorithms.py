@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,8 +34,8 @@ from fedsam.algorithms import (
 )
 from fedsam.engine import FedRunConfig, FedSamProblem, run_fedsam
 from fedsam.errors import DivergenceError, ErgodicityError
-from fedsam.harness import GeneratorParams, generate_instance
-from fedsam.mdp import FeatureMatrix, Mdp, Policy
+from fedsam.harness import GeneratorParams, generate_instance, generate_mdp
+from fedsam.mdp import FeatureMatrix, Mdp, Policy, cdf_table
 from fedsam.sampling import AgentChain, stream
 
 ACCEPT = GeneratorParams(n_states=5, n_actions=3, branching=3, gamma=0.8, d=2, n_step=2, n_agents=2)
@@ -427,6 +428,95 @@ class TestBuiltProblems:
                       "output_theta", "final_theta_bar"):
             assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
         assert runs[0].output_index == runs[1].output_index
+
+
+class TestNoiseTerms:
+    """The tabular noise terms, taken per step from O(S A) rows, equal the
+    (s, a, s') broadcast they replace, bit for bit, at every (s, a, s')."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("n_actions", [1, 3])
+    @pytest.mark.parametrize("n_states", [2, 5, 17])
+    def test_off_policy_apply_b_equals_the_broadcast(self, n_states, n_actions, seed):
+        params = GeneratorParams(n_states=n_states, n_actions=n_actions,
+                                 branching=min(3, n_states), gamma=0.9, n_agents=2)
+        gen = generate_instance(OFF_POLICY_TD_TABULAR, params, seed)
+        # the target itself as agent 0: its ratios are exactly 1.0, so apply_b is td itself
+        inst = AlgorithmInstance(kind=OFF_POLICY_TD_TABULAR, mdp=gen.mdp, target=gen.target,
+                                 behaviors=[gen.target, *gen.behaviors])
+        mdp, v_pi = inst.mdp, inst.fixed_point
+        td = mdp.reward[:, :, None] + mdp.gamma * v_pi[None, None, :] - v_pi[:, None, None]
+        problem = build_problem(inst)
+        for i, ratios in enumerate(problem.ratios):
+            for s, a, s2 in np.ndindex(td.shape):
+                want = np.zeros(n_states)
+                want[s] = 0.0 + 1.0 * ratios[s, a] * td[s, a, s2]
+                got = problem.apply_b(i, ((s, s2), (a,)))
+                assert got.tobytes() == want.tobytes(), (i, s, a, s2)
+                if i == 0:
+                    assert got[s] == td[s, a, s2]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("n_actions", [1, 3])
+    @pytest.mark.parametrize("n_states", [2, 5, 17])
+    def test_q_learning_apply_b_equals_the_broadcast(self, n_states, n_actions, seed):
+        params = GeneratorParams(n_states=n_states, n_actions=n_actions,
+                                 branching=min(3, n_states), gamma=0.9, n_agents=2)
+        inst = generate_instance(Q_LEARNING, params, seed)
+        mdp, q_star = inst.mdp, inst.fixed_point
+        gamma_q_max = mdp.gamma * q_star.max(axis=1)
+        b_table = mdp.reward[:, :, None] + gamma_q_max[None, None, :] - q_star[:, :, None]
+        problem = build_problem(inst)
+        for s, a, s2 in np.ndindex(b_table.shape):
+            want = np.zeros(n_states * n_actions)
+            want[s * n_actions + a] = b_table[s, a, s2]
+            assert problem.apply_b(0, ((s, s2), (a,))).tobytes() == want.tobytes(), (s, a, s2)
+
+
+def _traced(call) -> tuple[int, int]:
+    """(retained, peak) bytes that tracemalloc traces while `call()` runs; the
+    result is held until both are read."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+        del result
+    finally:
+        tracemalloc.stop()
+    return current - start, peak - start
+
+
+class TestSetUpMemory:
+    """Set-up keeps one copy of each S A S array, and a built problem holds none."""
+
+    PARAMS = GeneratorParams(n_states=200, n_actions=2, n_agents=4)
+    TABLE = 200 * 2 * 200 * 8  # bytes of one S A S float64 table
+
+    def set_up_call(self, case):
+        """The set-up call a case traces, with its inputs built beforehand."""
+        if case in KINDS:
+            inst = generate_instance(case, self.PARAMS, seed=1)
+            # built by the first chain: the MDP's own, shared by every problem of the instance
+            assert len(inst.mdp.transition_cdf) * 8 == self.TABLE
+            return lambda: build_problem(inst)
+        if case == "generate_mdp":
+            return lambda: generate_mdp(self.PARAMS, np.random.default_rng(1))
+        rows = np.random.default_rng(1).dirichlet(np.ones(200), size=(200, 2))
+        assert len(cdf_table(rows)) * 8 == self.TABLE
+        return lambda: cdf_table(rows)
+
+    # one more full-size temporary in generate_mdp, or a bytes copy in cdf_table,
+    # reads 2.0 or 3.1 tables; a problem holding an S A S noise table, 1.07-1.2
+    @pytest.mark.parametrize("case, reading, tables", [
+        (OFF_POLICY_TD_TABULAR, "retained", 1.0),
+        (Q_LEARNING, "retained", 1.0),
+        ("generate_mdp", "peak", 1.5),
+        ("cdf_table", "peak", 2.5),
+    ])
+    def test_set_up_stays_below_its_tables(self, case, reading, tables):
+        retained, peak = _traced(self.set_up_call(case))
+        assert {"retained": retained, "peak": peak}[reading] < tables * self.TABLE
 
 
 class TestExpectedOperator:

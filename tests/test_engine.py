@@ -216,7 +216,7 @@ class TestLocalStep:
         with np.errstate(over="ignore"):
             for y in noise.steps(step + 1):
                 theta = FedSamProblem.update(problem, agent, theta, y, cfg.step_size)
-        assert np.isfinite(theta).all() and not np.isfinite(np.add.reduce(theta))
+            assert np.isfinite(theta).all() and not np.isfinite(np.add.reduce(theta))
 
 
 class TestSyncAverage:

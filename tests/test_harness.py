@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import warnings
@@ -142,14 +143,16 @@ class TestRunTrial:
     def test_divergence_recorded_not_raised(self):
         inst = generate_instance(Q_LEARNING, SMALL, seed=1)
         cell = Cell(n_agents=2, sync_period=1, alpha=1e6, horizon=200)
-        result = run_trial(inst, cell, replication=0, master_seed=3)
+        with pytest.warns(RuntimeWarning, match="c_out"):
+            result = run_trial(inst, cell, replication=0, master_seed=3)
         assert result.status == "diverged"
         assert math.isnan(result.mse)
 
     def test_divergence_keeps_step_and_agent(self):
         params = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.5, n_agents=2)
         inst = generate_instance(OFF_POLICY_TD_TABULAR, params, 2024)
-        result = run_trial(inst, Cell(2, 1, 1e6, 200), 0, 2024)
+        with pytest.warns(RuntimeWarning, match="c_out"):
+            result = run_trial(inst, Cell(2, 1, 1e6, 200), 0, 2024)
         assert result.status == "diverged"
         assert (result.diverged_step, result.diverged_agent) == (66, 0)
         ok = run_trial(inst, Cell(2, 1, 0.1, 200), 0, 2024)
@@ -159,7 +162,8 @@ class TestRunTrial:
         # the iterates stay finite, but squaring their norm overflows a float
         params = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.5, n_agents=2)
         inst = generate_instance(OFF_POLICY_TD_TABULAR, params, 2024)
-        result = run_trial(inst, Cell(2, 1, 50.0, 200), 0, 2024)
+        with pytest.warns(RuntimeWarning, match="c_out"):
+            result = run_trial(inst, Cell(2, 1, 50.0, 200), 0, 2024)
         assert result.status == "diverged"
         assert result.t_hat == -1 and math.isnan(result.mse)
         assert result.error_series == []
@@ -215,7 +219,8 @@ class TestSweep:
 
     def test_diverged_majority_marks_cell_invalid(self):
         spec = small_spec(alpha_grid=[1e6], n_agents_grid=[2], sync_periods=[1], replications=4)
-        result = sweep(spec)
+        with pytest.warns(RuntimeWarning, match="c_out"):
+            result = sweep(spec)
         assert all(st.invalid for st in result.cell_stats)
         assert all(t.status == "diverged" for t in result.trials)
 
@@ -226,7 +231,8 @@ class TestSweep:
             n_agents_grid=[2], sync_periods=[1], alpha_grid=[0.1, 50.0], horizon=200,
             replications=1, master_seed=2024,
         )
-        result = sweep(spec)
+        with pytest.warns(RuntimeWarning, match="c_out"):
+            result = sweep(spec)
         assert [(t.alpha, t.status) for t in result.trials] == [(0.1, "ok"), (50.0, "diverged")]
         assert [st.invalid for st in result.cell_stats] == [False, True]
 
@@ -304,6 +310,31 @@ class TestSweep:
                     and "c_out" in str(w.message)]
         assert [m.split(":")[0] for m in messages] == ["cell (2, 1, 50.0, 20)"] * 3 + [
             "cell (2, 4, 50.0, 20)"] * 3
+
+    @staticmethod
+    def aggregate(mses):
+        cell = Cell(n_agents=2, sync_period=1, alpha=0.1, horizon=10)
+        trials = [harness.TrialResult(2, 1, 0.1, 10, r, mse=m, final_sq_error=m, t_hat=0,
+                                      status="ok", wall_ms=0.0, checkpoint_ts=[],
+                                      error_series=[], omega_series=[])
+                  for r, m in enumerate(mses)]
+        (stats,) = harness._aggregate([cell], trials, len(mses))
+        return stats
+
+    def test_standard_error_of_huge_finite_mses_is_finite(self):
+        # the three "ok" K=1 trials of the lockstep divergence test at alpha 6
+        mses = [1.5e203, 1.3e93, 4.0e255]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = self.aggregate(mses)
+        # statistics.stdev sums exact fractions
+        want = 1e255 * statistics.stdev([m / 1e255 for m in mses]) / math.sqrt(3)
+        assert math.isfinite(stats.se_mse) and stats.se_mse == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("mses", [[0.5, 0.25, 0.125], [1e-30, 3e-7, 2.0], [1e150, 1e153]])
+    def test_in_range_standard_error_keeps_its_bytes(self, mses):
+        stats = self.aggregate(mses)
+        assert stats.se_mse == float(np.std(mses, ddof=1) / math.sqrt(len(mses)))
 
     def test_k_rule_resolves_to_t_over_n(self):
         spec = small_spec(sync_periods="T_over_N", n_agents_grid=[1, 4], horizon=200)
