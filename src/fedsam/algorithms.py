@@ -11,8 +11,8 @@ cross-checking the reduction.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add
 
 import numpy as np
@@ -21,6 +21,7 @@ from .engine import NORM_L2, NORM_SUP, FedSamProblem
 from .mdp import (
     FeatureMatrix,
     Mdp,
+    PickledWithoutCaches,
     Policy,
     certified_stationary,
     eigen_moduli,
@@ -34,7 +35,7 @@ from .mdp import (
     value_function_oracle,
 )
 from .errors import DivergenceError, ErgodicityError
-from .sampling import AgentChain, MixingEstimate, invert_rows, mixing_diagnostics, pad_cdf
+from .sampling import AgentChain, ChainRows, MixingEstimate, mixing_diagnostics, policy_rows
 
 ON_POLICY_TD_LFA = "on_policy_td_lfa"
 OFF_POLICY_TD_TABULAR = "off_policy_td_tabular"
@@ -299,18 +300,17 @@ def build_problem(instance: AlgorithmInstance) -> FedSamProblem:
     return QLearningProblem(instance)
 
 
-class _InstanceProblem(FedSamProblem):
+class _InstanceProblem(FedSamProblem, PickledWithoutCaches):
     """An instance's FedSamProblem, with the operators and the noise as methods.
 
-    Subclasses hold arrays and plain lists only, so a built problem pickles.
-    The block kernels of the tabular kinds read Python floats (per-state rows
-    as lists): the same doubles as the operators read, so the same bits. Their
-    noise terms come from O(S A) rows, in an (s, a, s') broadcast's order.
-
-    Their `run_block` kernels draw a block's 2k uniforms in one call and walk
-    the chain inline; a finished block leaves the chain and its generator as
-    k `step()` calls would (a diverged one leaves the window mid-block, and
-    the run ends there).
+    Subclasses hold arrays and plain lists only, so a built problem pickles
+    (without its `policy_rows`, rebuilt on first use). The block kernels of
+    the tabular kinds read Python floats (per-state rows as lists): the same
+    doubles as the operators read, so the same bits. Their noise terms come
+    from O(S A) rows, in an (s, a, s') broadcast's order. They take a block's
+    trajectory from one `noise.walk(k)` and keep only their arithmetic, so
+    every block, a diverged one too, leaves the chain and its generator as k
+    `step()` calls would.
 
     Their finite guard is `FedSamProblem.run_block`'s, made cheaper: while
     every entry lies strictly inside +-finite_bound, the row's sum is finite.
@@ -335,6 +335,11 @@ class _InstanceProblem(FedSamProblem):
 
     def make_noise(self, agent_id: int, rng: np.random.Generator) -> AgentChain:
         return AgentChain(self.mdp, self.behaviors[agent_id], self.xi, self.window_n, rng, agent_id)
+
+    @cached_property
+    def policy_rows(self) -> np.ndarray:
+        """`sampling.policy_rows` of the behaviors, for lockstep rows."""
+        return policy_rows(self.behaviors)
 
 
 class LinearTdProblem(_InstanceProblem):
@@ -415,22 +420,14 @@ class OffPolicyTdProblem(_InstanceProblem):
 
     def run_block(self, i: int, theta: np.ndarray, noise: AgentChain, t_start: int,
                   t_stop: int, alpha: float) -> np.ndarray:
-        """`FedSamProblem.run_block` with the chain walked inline.
-
-        Each step is the generic step at S_t, with apply_g's and apply_b's sums
-        taken in one pass; the block's trajectory is kept as two lists that
-        start with the chain's window, so step j's window is states[j:j+n+1]
-        and actions[j:j+n].
-        """
+        """`FedSamProblem.run_block` on `noise.walk(k)`: each step is the generic
+        step at S_t, with apply_g's and apply_b's sums taken in one pass."""
         k = t_stop - t_start
-        draws = iter(noise.rng.random(2 * k).tolist())
-        n, n_actions, n_states = self.window_n, noise.n_actions, noise.n_states
-        policy_cdf, trans_cdf = noise.policy_cdf, noise.trans_cdf
+        states, actions = noise.walk(k)
+        n = self.window_n
         gamma, table, item, reward, v_pi = self.gamma, self._ratio_rows[i], theta.item, *self._td_rows
         watch, bound = k > 1 and self._inside_bound(theta), self.finite_bound
-        states, actions = list(noise.states), list(noise.actions)
-        j = 0
-        for t, u_action, u_state in zip(range(t_start, t_stop), draws, draws):
+        for j, t in enumerate(range(t_start, t_stop)):
             # the first transition's weight is ratio(S_t, A_t) exactly, and 0.0 + x
             # is the generic sums' first addition (it turns -0.0 into 0.0)
             s0, a, s2 = states[j], actions[j], states[j + 1]
@@ -448,18 +445,10 @@ class OffPolicyTdProblem(_InstanceProblem):
                 g_pow *= gamma
             v = th + alpha * (((th + acc_g) - th) + acc_b)
             theta[s0] = v
-            # A ~ behavior(.|S_newest), S' ~ P(.|S_newest, A), as AgentChain.advance
-            lo = s2 * n_actions
-            a = bisect_right(policy_cdf, u_action, lo, lo + n_actions) - lo
-            lo = (lo + a) * n_states
-            states.append(bisect_right(trans_cdf, u_state, lo, lo + n_states) - lo)
-            actions.append(a)
-            j += 1
             if not (watch and -bound < v < bound):
                 watch = False
                 if not math.isfinite(np.add.reduce(theta)):
                     raise DivergenceError(t, i)
-        noise.states, noise.actions = tuple(states[k:]), tuple(actions[k:])
         return theta
 
 
@@ -502,20 +491,14 @@ class QLearningProblem(_InstanceProblem):
 
     def run_block(self, i: int, theta: np.ndarray, noise: AgentChain, t_start: int,
                   t_stop: int, alpha: float) -> np.ndarray:
-        """`FedSamProblem.run_block` with the chain walked inline.
-
-        Each step is the generic step at (S_t, A_t), without the full-vector
-        temporaries; the window (S_t, A_t, S_t+1) is kept as three ints.
-        """
+        """`FedSamProblem.run_block` on `noise.walk(k)`: each step is the generic
+        step at (S_t, A_t), without the full-vector temporaries."""
         k = t_stop - t_start
-        draws = iter(noise.rng.random(2 * k).tolist())
-        n_actions, n_states = self.n_actions, noise.n_states
-        policy_cdf, trans_cdf = noise.policy_cdf, noise.trans_cdf
-        gamma, q_rows, gamma_q_max, item = self.gamma, self._q_rows, self._gamma_q_max, theta.item
-        reward = self._reward_rows
+        states, actions = noise.walk(k)
+        n_actions, gamma, q_rows, gamma_q_max = self.n_actions, self.gamma, self._q_rows, self._gamma_q_max
+        reward, item = self._reward_rows, theta.item
         watch, bound = k > 1 and self._inside_bound(theta), self.finite_bound
-        (s, s2), (a,) = noise.states, noise.actions
-        for t, u_action, u_state in zip(range(t_start, t_stop), draws, draws):
+        for t, s, a, s2 in zip(range(t_start, t_stop), states, actions, states[1:]):
             lo = s2 * n_actions
             shifted_max = max(map(add, theta[lo:lo + n_actions].tolist(), q_rows[s2]))
             idx = s * n_actions + a
@@ -523,15 +506,10 @@ class QLearningProblem(_InstanceProblem):
             acc = gamma * shifted_max - th - gamma_q_max[s2]
             v = th + alpha * (((th + acc) - th) + ((reward[s][a] + gamma_q_max[s2]) - q_rows[s][a]))
             theta[idx] = v
-            # the walk from S_t+1, as AgentChain.advance; its action row starts at lo
-            s, a = s2, bisect_right(policy_cdf, u_action, lo, lo + n_actions) - lo
-            lo = (lo + a) * n_states
-            s2 = bisect_right(trans_cdf, u_state, lo, lo + n_states) - lo
             if not (watch and -bound < v < bound):
                 watch = False
                 if not math.isfinite(np.add.reduce(theta)):
                     raise DivergenceError(t, i)
-        noise.states, noise.actions = (s, s2), (a,)
         return theta
 
     def lockstep(self, chains: list[AgentChain], horizon: int) -> "QLearningRows":
@@ -541,57 +519,26 @@ class QLearningProblem(_InstanceProblem):
 class QLearningRows:
     """The chains of a Q-learning lockstep batch, one per row, stepped together.
 
-    Each row keeps its chain's Philox stream and draw order: it draws the
-    uniforms of up to LOOKAHEAD steps in one call, and walks its chain through
-    them against the chain's own pinned CDF tables (`invert_rows`, which is
-    bisect_right). The walk does not depend on theta, so it runs ahead, and
-    the table entries each step reads are gathered for all of its steps at
-    once. `step` then applies `QLearningProblem.run_block`'s arithmetic,
+    The chains walk ahead together as `sampling.ChainRows`, and the table
+    entries each step reads are gathered for a whole lookahead at once.
+    `step` then applies `QLearningProblem.run_block`'s arithmetic,
     elementwise in the same order; `np.where(c > m, c, m)` is Python's `max`.
     `run` steps a block and holds the finite guard.
     """
 
-    LOOKAHEAD = 256
-
     def __init__(self, problem: QLearningProblem, chains: list[AgentChain], horizon: int):
-        n_states, n_actions = problem.mdp.n_states, problem.n_actions
-        self.dim, self.n_actions = problem.dim, n_actions
-        self.gamma, self.q_star, self.gamma_q_max = problem.gamma, problem.q_star, problem.gamma_q_max
-        self.bound = problem.finite_bound
+        self.walker = ChainRows(chains, problem.policy_rows, horizon)
+        self.n_actions, self.gamma, self.bound = problem.n_actions, problem.gamma, problem.finite_bound
+        self.q_star, self.gamma_q_max = problem.q_star, problem.gamma_q_max
         self.reward_flat, self.q_flat = problem.mdp.reward.reshape(-1), problem.q_star.reshape(-1)
-        self.rngs = [chain.rng for chain in chains]
-        self.sa = np.array([chain.states[0] * n_actions + chain.actions[0] for chain in chains])
-        self.s2 = np.array([chain.states[1] for chain in chains])
-        tables = {chain.agent_id: chain.policy_cdf for chain in chains}
-        order = sorted(tables)
-        # the behaviors' rows one after another: agent order[m]'s row s is m S + s
-        self.policy_cdf = pad_cdf(np.concatenate([np.frombuffer(tables[i]) for i in order])
-                                  .reshape(-1, n_actions))
-        self.policy_base = np.array([order.index(chain.agent_id) * n_states for chain in chains])
-        self.trans_cdf = pad_cdf(np.frombuffer(chains[0].trans_cdf).reshape(-1, n_states))
-        self.row_off = np.arange(len(chains)) * self.dim
-        self.left = horizon
+        self.row_off = np.arange(len(chains)) * problem.dim
         self.j = self.k = 0
 
-    def _walk_ahead(self) -> None:
-        """Draw and walk the next k steps of every row; gather what they read."""
-        k = min(self.LOOKAHEAD, self.left)
-        self.left -= k
-        n_actions, n_rows = self.n_actions, len(self.rngs)
-        draws = np.empty((n_rows, 2 * k))
-        for rng, row in zip(self.rngs, draws):
-            rng.random(out=row)
-        draws = draws.T.copy()  # step j reads rows 2j (action) and 2j + 1 (next state)
-        sa_steps = np.empty((k, n_rows), dtype=np.intp)
-        s2_steps = np.empty((k, n_rows), dtype=np.intp)
-        sa, s2 = self.sa, self.s2
-        policy_cdf, policy_base, trans_cdf = self.policy_cdf, self.policy_base, self.trans_cdf
-        for j in range(k):
-            sa_steps[j], s2_steps[j] = sa, s2
-            # A ~ behavior(.|S_t+1), S' ~ P(.|S_t+1, A), as AgentChain.advance
-            sa = s2 * n_actions + invert_rows(policy_cdf, policy_base + s2, draws[2 * j])
-            s2 = invert_rows(trans_cdf, sa, draws[2 * j + 1])
-        self.sa, self.s2 = sa, s2
+    def _gather(self) -> None:
+        """Walk every row ahead; gather what its next steps read."""
+        states, actions = self.walker.walk_ahead()
+        k, n_actions = len(actions) - 1, self.n_actions
+        sa_steps, s2_steps = states[:k] * n_actions + actions[:k], states[1:k + 1]
         self.written = self.row_off + sa_steps
         self.next_row = (self.row_off + s2_steps * n_actions)[..., None] + np.arange(n_actions)
         self.q_next = self.q_star[s2_steps]
@@ -621,7 +568,7 @@ class QLearningRows:
     def step(self, thetas: np.ndarray, alpha: float) -> np.ndarray:
         """One step of every row of thetas, written in place; returns the written entries."""
         if self.j == self.k:
-            self._walk_ahead()
+            self._gather()
         j = self.j
         self.j += 1
         flat = thetas.reshape(-1)

@@ -35,6 +35,17 @@ def norm(x: np.ndarray, kind: str) -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
+def row_norms(mat: np.ndarray, kind: str) -> np.ndarray:
+    """norm(row, kind) of every row of mat, bit for bit, in one reduction: the
+    max is exact, and each (1, d) @ (d, 1) product is the dot that
+    `np.linalg.norm` takes (einsum and np.add.reduce(d * d, 1) sum otherwise)."""
+    if kind == NORM_SUP:
+        return np.maximum.reduce(np.abs(mat), axis=1)
+    if kind == NORM_L2:
+        return np.sqrt((mat[:, None, :] @ mat[:, :, None]).reshape(-1))
+    raise ValueError(f"unknown norm kind {kind!r}")
+
+
 @dataclass
 class FedSamProblem:
     """Per-agent noisy operators plus their Markovian noise processes.
@@ -42,16 +53,18 @@ class FedSamProblem:
     apply_g(i, theta, y) and apply_b(i, y) evaluate the agent-i operator and
     additive noise; make_noise(i, rng) builds the agent's noise process (an
     object whose .step() yields successive y values, and whose optional
-    .steps(k) yields the next k at once). The engine advances each agent one
-    block at a time through `run_block`, which steps through `update`.
-    The operators must satisfy G(i, 0, y) = 0 — zero is the common fixed
-    point — which is probed with random samples at construction time.
+    .steps(k) yields the next k at once; the engine draws no noise itself).
+    The engine advances each agent one block at a time through `run_block`,
+    which steps through `update`. The operators must satisfy G(i, 0, y) = 0
+    — zero is the common fixed point — which is probed with random samples
+    at construction time.
 
     A problem with a row step sets `lockstep_min_rows`, the batch size in
     rows (trials x agents) from which its `lockstep(chains, horizon)` rows
     beat `run_block`. Their `run(thetas, t, t_stop, alpha)` advances every
-    row of thetas in place from step t to t_stop, each on its own chain, and
-    returns the (step, row) of each row's first failing step.
+    row of thetas in place from step t to t_stop, each on its own chain (as
+    `sampling.ChainRows` walks them), and returns the (step, row) of each
+    row's first failing step.
     """
 
     lockstep_min_rows: ClassVar[int | None] = None
@@ -213,12 +226,10 @@ def sync_errors(thetas: np.ndarray, norm_kind: str = NORM_SUP) -> tuple[float, f
     thetas = np.asarray(thetas, dtype=float)
     if (thetas == thetas[0]).all():
         return 0.0, 0.0
-    mean = np.add.reduce(thetas, 0) / len(thetas)
-    if norm_kind == NORM_SUP:  # each row's norm(mean - row), in one reduction
-        dists = np.maximum.reduce(np.abs(mean - thetas), axis=1)
-    else:
-        dists = np.array([norm(mean - row, norm_kind) for row in thetas])
-    return float(dists.mean()), float((dists**2).mean())
+    n = len(thetas)
+    dists = row_norms(np.add.reduce(thetas, 0) / n - thetas, norm_kind)
+    # np.add.reduce(x) / n is x.mean(), bit for bit
+    return float(np.add.reduce(dists) / n), float(np.add.reduce(dists**2) / n)
 
 
 class _Recorder:

@@ -32,7 +32,7 @@ from .algorithms import (
     build_problem,
     theory_constants,
 )
-from .engine import FedRunConfig, FedSamProblem, run_batch
+from .engine import FedRunConfig, FedSamProblem, row_norms, run_batch
 from .errors import DivergenceError, GenerationError
 from .mdp import FeatureMatrix, Mdp, Policy
 from .sampling import stream, tau_alpha
@@ -422,7 +422,8 @@ def _trial_result(problem: FedSamProblem, cell: Cell, replication: int, outcome)
             raise outcome
         err = problem.norm(outcome.output_theta)
         final_err = problem.norm(outcome.final_theta_bar)
-        series = [float(problem.norm(row) ** 2) for row in outcome.theta_bar_series]
+        # squared as Python floats: for some doubles x ** 2 != x * x
+        series = [x ** 2 for x in row_norms(outcome.theta_bar_series, problem.norm_kind).tolist()]
         mse, final_sq_error = float(err**2), float(final_err**2)
     except (DivergenceError, OverflowError) as exc:  # only DivergenceError knows where
         return TrialResult(
@@ -839,27 +840,36 @@ def persist(result: SweepResult, out_dir: str | Path, name: str | None = None) -
     return paths
 
 
+def _csv_rows(path: Path, header: str) -> Iterable[tuple[tuple, list[str]]]:
+    """Each row's trial key, (n_agents, sync_period, alpha, horizon, replication), and its other fields."""
+    rows = path.read_text().strip().split("\n")
+    if rows[0] != header:
+        raise ValueError(f"unexpected header in {path}")
+    for row in rows[1:]:
+        n, k, alpha, horizon, rep, *fields = row.split(",")
+        yield (int(n), int(k), float(alpha), int(horizon), int(rep)), fields
+
+
 def load_results(out_dir: str | Path, name: str) -> tuple[dict, list[TrialResult]]:
-    """Reload persisted results; series rows are re-attached to their trials."""
+    """Reload persisted results; series rows are re-attached to their trials,
+    and so are the timing sidecar's wall times and divergence points when
+    the sidecar is there."""
     out = Path(out_dir)
     meta = json.loads((out / f"{name}.meta.json").read_text())
     trials: dict[tuple, TrialResult] = {}
-    rows = (out / f"{name}.results.csv").read_text().strip().split("\n")
-    if rows[0] != RESULTS_HEADER:
-        raise ValueError(f"unexpected results header in {out / f'{name}.results.csv'}")
-    for row in rows[1:]:
-        n, k, alpha, horizon, rep, mse, fin, t_hat, status = row.split(",")
-        tr = TrialResult(
-            int(n), int(k), float(alpha), int(horizon), int(rep),
-            float(mse), float(fin), int(t_hat), status,
-            wall_ms=0.0, checkpoint_ts=[], error_series=[], omega_series=[],
-        )
-        trials[(tr.n_agents, tr.sync_period, tr.alpha, tr.horizon, tr.replication)] = tr
-    rows = (out / f"{name}.series.csv").read_text().strip().split("\n")
-    for row in rows[1:]:
-        n, k, alpha, horizon, rep, t, err, omega = row.split(",")
-        tr = trials[(int(n), int(k), float(alpha), int(horizon), int(rep))]
+    for key, (mse, fin, t_hat, status) in _csv_rows(out / f"{name}.results.csv", RESULTS_HEADER):
+        trials[key] = TrialResult(*key, float(mse), float(fin), int(t_hat), status, wall_ms=0.0,
+                                  checkpoint_ts=[], error_series=[], omega_series=[])
+    for key, (t, err, omega) in _csv_rows(out / f"{name}.series.csv", SERIES_HEADER):
+        tr = trials[key]
         tr.checkpoint_ts.append(int(t))
         tr.error_series.append(float(err))
         tr.omega_series.append(float(omega))
+    timing = out / f"{name}.timing.csv"
+    if timing.exists():
+        for key, (wall_ms, step, agent) in _csv_rows(timing, TIMING_HEADER):
+            tr = trials[key]
+            tr.wall_ms = float(wall_ms)
+            tr.diverged_step = int(step) if step else None
+            tr.diverged_agent = int(agent) if agent else None
     return meta, [trials[k] for k in sorted(trials)]

@@ -44,8 +44,17 @@ def cdf_table(rows: np.ndarray) -> array:
     return table
 
 
+class PickledWithoutCaches:
+    """Pickles without its `cached_property` tables; a reader rebuilds each on first use."""
+
+    def __getstate__(self) -> dict:
+        cls = type(self)
+        return {key: value for key, value in self.__dict__.items()
+                if not isinstance(getattr(cls, key, None), cached_property)}
+
+
 @dataclass(frozen=True)
-class Mdp:
+class Mdp(PickledWithoutCaches):
     """Finite MDP (states, actions, kernel, bounded reward, discount)."""
 
     n_states: int
@@ -100,7 +109,7 @@ class Mdp:
 
 
 @dataclass(frozen=True)
-class Policy:
+class Policy(PickledWithoutCaches):
     """Stochastic action-selection table probs[s, a]."""
 
     probs: np.ndarray

@@ -31,27 +31,16 @@ class AgentChain:
     """One agent's Markov trajectory, read as a sliding window of n transitions.
 
     Holds the last n+1 states and n actions (S_t..S_{t+n}, A_t..A_{t+n-1}) as
-    tuples. Construction draws S_0 ~ xi and n warm-up transitions; `advance`
-    samples one more transition and shifts the window, and `step` is the noise
-    process: it returns the current window, then advances. Windows are
-    immutable, so callers may hold them across steps.
-
-    Every draw is one uniform from `rng`, inverted against a row of the
-    cumulative tables that the MDP and the policy build once and share
-    (`bisect_right` there equals `np.searchsorted(side="right")`). A block
-    kernel may walk the chain itself: it reads `rng`, `n_states`, `n_actions`,
-    `policy_cdf` and `trans_cdf`, and writes back `states` and `actions`.
+    immutable tuples. Construction draws S_0 ~ xi and n warm-up transitions.
+    `walk(k)` is the one walk: block kernels call it and keep only their
+    arithmetic, and `advance`, `step` (the noise process) and `steps` are
+    built on it. A transition draws two uniforms from `rng`, the action's,
+    then the next state's, each inverted with `bisect_right` against a row
+    of the pinned tables that the MDP and the policy build once and share.
     """
 
-    def __init__(
-        self,
-        mdp: Mdp,
-        behavior: Policy,
-        xi: np.ndarray,
-        n: int,
-        rng: np.random.Generator,
-        agent_id: int = 0,
-    ):
+    def __init__(self, mdp: Mdp, behavior: Policy, xi: np.ndarray, n: int,
+                 rng: np.random.Generator, agent_id: int = 0):
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (mdp.n_states,) or np.any(xi < 0) or abs(xi.sum() - 1.0) > 1e-12:
             raise ValueError("xi must be a probability distribution over states")
@@ -66,83 +55,116 @@ class AgentChain:
         self.trans_cdf = mdp.transition_cdf
         self.states: tuple[int, ...] = (bisect_right(cdf_table(xi), rng.random()),)
         self.actions: tuple[int, ...] = ()
-        for _ in range(n):
-            self.advance()
+        self.walk(n)  # until it holds n transitions, the window grows
 
-    def _walk(self, state: int, u_action: float, u_state: float) -> tuple[int, int]:
-        """Invert two uniforms into A ~ behavior(.|state) and S' ~ P(.|state, A)."""
+    def walk(self, k: int) -> tuple[list[int], list[int]]:
+        """The current window followed by k new transitions, as (states, actions)
+        lists, so step j's window is states[j:j+n+1], actions[j:j+n]. The 2k
+        uniforms come from one draw, the same doubles as 2k single draws; the
+        chain is left on the last window."""
+        u = self.rng.random(2 * k).tolist()
         n_actions, n_states = self.n_actions, self.n_states
-        lo = state * n_actions
-        a = bisect_right(self.policy_cdf, u_action, lo, lo + n_actions) - lo
-        lo = (lo + a) * n_states
-        return a, bisect_right(self.trans_cdf, u_state, lo, lo + n_states) - lo
+        policy_cdf, trans_cdf = self.policy_cdf, self.trans_cdf
+        states, actions = [*self.states], [*self.actions]
+        s = states[-1]
+        for j in range(0, 2 * k, 2):  # u[j] picks the action, u[j + 1] the next state
+            lo = s * n_actions
+            a = bisect_right(policy_cdf, u[j], lo, lo + n_actions) - lo
+            lo = (lo + a) * n_states
+            s = bisect_right(trans_cdf, u[j + 1], lo, lo + n_states) - lo
+            actions.append(a)
+            states.append(s)
+        n = self.n_step
+        self.states, self.actions = tuple(states[-n - 1:]), tuple(actions[len(actions) - n:])
+        return states, actions
 
     def advance(self) -> tuple[int, int]:
-        """Sample A ~ behavior(.|S_newest), S' ~ P(.|S_newest, A) and shift.
-
-        Until the window holds n transitions it grows instead of shifting.
-        Returns the newest (action, state) pair.
-        """
-        a, s_next = self._walk(self.states[-1], self.rng.random(), self.rng.random())
-        drop = 1 if len(self.states) > self.n_step else 0
-        self.states = self.states[drop:] + (s_next,)
-        if self.n_step:
-            self.actions = self.actions[drop:] + (a,)
-        return a, s_next
+        """Walk one transition; returns the newest (action, state) pair."""
+        states, actions = self.walk(1)
+        return actions[-1], states[-1]
 
     def step(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The current (states, actions) window; the chain then advances."""
         window = (self.states, self.actions)
-        self.advance()
+        self.walk(1)
         return window
 
     def steps(self, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The windows of k `step()` calls, from one draw of their 2k uniforms.
-
-        Leaves the chain and its generator as those k calls would: the
-        generator yields the same doubles one at a time or as one array. The
-        window is full after construction, so every step shifts it.
-        """
-        u = self.rng.random(2 * k).tolist()
-        walk, keep_actions = self._walk, self.n_step > 0
-        states, actions = self.states, self.actions
-        windows = []
-        for j in range(0, 2 * k, 2):
-            windows.append((states, actions))
-            a, s_next = walk(states[-1], u[j], u[j + 1])
-            states = states[1:] + (s_next,)
-            if keep_actions:
-                actions = actions[1:] + (a,)
-        self.states, self.actions = states, actions
-        return windows
+        """The windows of k `step()` calls, from one `walk(k)`."""
+        states, actions = self.walk(k)
+        n = self.n_step
+        return [(tuple(states[j:j + n + 1]), tuple(actions[j:j + n])) for j in range(k)]
 
 
-def pad_cdf(cdf: np.ndarray) -> np.ndarray:
-    """Pinned CDF rows (see `mdp.cdf_table`) as a 2-D array, padded with 1.0 to
-    a power-of-two width: the table `invert_rows` reads."""
-    width = 1 << (cdf.shape[1] - 1).bit_length()
-    return np.pad(cdf, ((0, 0), (0, width - cdf.shape[1])), constant_values=1.0)
+def policy_rows(behaviors: list[Policy]) -> np.ndarray:
+    """The behaviors' pinned action tables one after another, agent i's row s
+    at i S + s: the table `ChainRows` inverts actions against."""
+    return np.concatenate([np.frombuffer(b.cdf) for b in behaviors])
 
 
-def invert_rows(padded: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """bisect_right(cdf[rows[i]], u[i]) for every i, by binary lifting.
-
-    `padded` is `pad_cdf(cdf)`. The entries before a pinned row's last are
-    nondecreasing, its last is 1.0 and so is its padding, and u < 1: the
-    entries <= u are a prefix of the padded row, and the search for the end
-    of that prefix is bisect_right's.
+class ChainRows:
+    """Chains of one MDP walked together, one per row, as `AgentChain.walk`
+    walks each alone: each row keeps its chain's stream and draw order, and
+    draws up to LOOKAHEAD steps' uniforms with one `rng.random(out=row)`.
+    Each step inverts every row's two uniforms at once, against the behavior
+    set's `policy_rows` and a view of the kernel table. The walk runs ahead
+    of the estimates, at most to the horizon; the chains are not written.
     """
-    width = padded.shape[1]
-    flat = padded.reshape(-1)
-    start = rows * width
-    pos = start
-    step = width >> 1
+
+    LOOKAHEAD = 256
+
+    def __init__(self, chains: list[AgentChain], policy_table: np.ndarray, horizon: int):
+        first = chains[0]
+        self.n_states, self.n_actions = first.n_states, first.n_actions
+        self.policy_cdf, self.trans_cdf = policy_table, np.frombuffer(first.trans_cdf)
+        self.rngs = [chain.rng for chain in chains]
+        self.states = np.array([chain.states for chain in chains], dtype=np.intp).T
+        self.actions = np.array([chain.actions for chain in chains],
+                                dtype=np.intp).reshape(len(chains), first.n_step).T
+        self.policy_base = np.array([chain.agent_id for chain in chains]) * self.n_states
+        self.left = horizon
+
+    def walk_ahead(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' current windows followed by their next k = min(LOOKAHEAD,
+        steps left) transitions, as (states, actions) arrays of shapes
+        (n+1+k, rows) and (n+k, rows): step j's windows are states[j:j+n+1]
+        and actions[j:j+n]. The rows are left on their last windows."""
+        k = min(self.LOOKAHEAD, self.left)
+        self.left -= k
+        n_rows, n, n_states, n_actions = len(self.rngs), len(self.actions), self.n_states, self.n_actions
+        draws = np.empty((n_rows, 2 * k))
+        for rng, row in zip(self.rngs, draws):
+            rng.random(out=row)
+        draws = draws.T.copy()  # step j reads rows 2j (action) and 2j + 1 (next state)
+        states = np.empty((n + 1 + k, n_rows), dtype=np.intp)
+        actions = np.empty((n + k, n_rows), dtype=np.intp)
+        states[:n + 1], actions[:n] = self.states, self.actions
+        s = states[n]
+        for j in range(k):
+            a = actions[n + j] = invert_rows(self.policy_cdf, n_actions, self.policy_base + s, draws[2 * j])
+            s = states[n + 1 + j] = invert_rows(self.trans_cdf, n_states, s * n_actions + a, draws[2 * j + 1])
+        self.states, self.actions = states[k:].copy(), actions[k:].copy()
+        return states, actions
+
+
+def invert_rows(table: np.ndarray, width: int, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """bisect_right(table, u[i], lo, lo + width) - lo, lo = rows[i] * width, for
+    every i, over a flat pinned table (`mdp.cdf_table`), by binary lifting.
+
+    The entries <= u < 1 of a pinned row are a prefix of its first m entries,
+    m = width - 1. A probe at the largest power of two p <= m puts the
+    prefix's end in [0, p) or [m - p + 1, m]; lifting by p/2, ..., 1 finds it.
+    """
+    m = width - 1
+    pos = start = rows * width
+    if not m:
+        return pos - start
+    step = 1 << (m.bit_length() - 1)
+    jump = m + 1 - step
     while step > 1:
-        pos = pos + (flat[pos + (step - 1)] <= u) * step
-        step >>= 1
-    if step:
-        pos = pos + (flat[pos] <= u)
-    return pos - start
+        pos = pos + (table[pos + (step - 1)] <= u) * jump
+        step = jump = step >> 1
+    return pos + (table[pos] <= u) - start  # the last probe, with a jump of 1
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

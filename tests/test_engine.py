@@ -5,6 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedsam.algorithms import OFF_POLICY_TD_TABULAR, ON_POLICY_TD_LFA, Q_LEARNING, build_problem
 from fedsam.engine import (
@@ -13,6 +16,7 @@ from fedsam.engine import (
     noise_average_diagnostic,
     norm,
     output_time_distribution,
+    row_norms,
     run_fedsam,
     sample_output_index,
     sync_errors,
@@ -318,6 +322,39 @@ class TestSyncErrors:
                 thetas[:] = thetas[0]
             got, want = sync_errors(thetas, kind), per_row(thetas)
             assert np.array(got).tobytes() == np.array(want).tobytes(), thetas
+
+
+def agent_rows(max_rows: int = 8, max_dim: int = 40):
+    """Float matrices whose magnitudes span the double range, with ties, signed
+    zeros and non-finite entries among them."""
+    shapes = st.tuples(st.integers(1, max_rows), st.integers(1, max_dim))
+    return shapes.flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(
+        allow_nan=True, allow_infinity=True, width=64)))
+
+
+class TestRowNormBits:
+    """row_norms and the checkpoint statistics on it, pinned to the per-row
+    definitions bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mat=agent_rows(), kind=st.sampled_from(["sup", "l2"]))
+    def test_row_norms_equal_per_row_norm(self, mat, kind):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = row_norms(mat, kind)
+            want = np.array([norm(row, kind) for row in mat])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(mat=agent_rows(), kind=st.sampled_from(["sup", "l2"]))
+    def test_sync_errors_equal_the_mean_of_per_row_norms(self, mat, kind):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = sync_errors(mat, kind)
+            if (mat == mat[0]).all():
+                want = (0.0, 0.0)
+            else:
+                dists = np.array([norm(mat.mean(axis=0) - row, kind) for row in mat])
+                want = (float(dists.mean()), float((dists**2).mean()))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestProblemRegistration:

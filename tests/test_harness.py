@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import statistics
 import subprocess
 import sys
@@ -16,6 +17,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedsam.algorithms import (
     OFF_POLICY_TD_TABULAR,
@@ -25,7 +29,7 @@ from fedsam.algorithms import (
     theory_constants,
 )
 from fedsam import harness
-from fedsam.engine import FedRunConfig
+from fedsam.engine import FedRunConfig, RunTrace, norm
 from fedsam.harness import (
     Cell,
     ExperimentSpec,
@@ -473,6 +477,87 @@ class TestPersistence:
         assert header.endswith(",wall_ms,diverged_step,diverged_agent")
         tails = [row.split(",")[-2:] for row in rows]
         assert tails == [["", ""], ["", ""], ["66", "0"]]
+
+    # one lockstep batch in which the K = 64 trials turn non-finite at
+    # different (step, agent); see tests/test_lockstep.py
+    DIVERGING = dict(name="mixed", kind=Q_LEARNING,
+                     params=GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.6,
+                                            n_agents=3),
+                     n_agents_grid=[3], sync_periods=[1, 64], alpha_grid=[6.0], horizon=1113,
+                     replications=3, master_seed=3)
+
+    def test_round_trip_keeps_the_timing_sidecar(self, tmp_path):
+        result = sweep(ExperimentSpec(**self.DIVERGING))
+        paths = persist(result, tmp_path, name="mixed")
+        _, trials = load_results(tmp_path, "mixed")
+        sidecar = ("status", "wall_ms", "diverged_step", "diverged_agent")
+        assert [[getattr(t, f) for f in sidecar] for t in trials] == [
+            [getattr(t, f) for f in sidecar] for t in result.trials]
+        assert [(t.diverged_step, t.diverged_agent) for t in trials if t.status == "diverged"] == [
+            (1097, 1), (1093, 0), (1104, 1)]
+        assert all(t.wall_ms > 0.0 for t in trials)
+        # without the sidecar, the persisted fields alone
+        paths["timing"].unlink()
+        _, bare = load_results(tmp_path, "mixed")
+        assert repr([trial_key(t) for t in bare]) == repr([
+            {**trial_key(t), "diverged_step": None, "diverged_agent": None} for t in trials])
+        assert {t.wall_ms for t in bare} == {0.0}
+
+
+class TestPickledSetUp:
+    """A sweep sends its set-up to every worker without the tables that
+    each process rebuilds on first use."""
+
+    def test_pickled_set_up_holds_no_table(self):
+        spec = small_spec(params=dataclasses.replace(SMALL, n_states=30), n_agents_grid=[1, 4],
+                          sync_periods=[1], replications=16)
+        setup = harness._sweep_setup(spec)
+        sweep(spec)  # runs lockstep batches, which build the behaviors' action rows
+        for _, problem, _ in setup.values():
+            problem.policy_rows
+        data = pickle.dumps(setup)
+        instance, problem, _ = setup[4]
+        tables = [instance.mdp.transition_cdf.tobytes(), problem.policy_rows.tobytes(),
+                  *(b.cdf.tobytes() for b in instance.behaviors)]
+        assert not any(table in data for table in tables)
+        loaded = pickle.loads(data)
+        for instance, problem, _ in loaded.values():  # the N share one MDP and its behaviors
+            assert "transition_cdf" not in instance.mdp.__dict__
+            assert "policy_rows" not in problem.__dict__
+            assert not any("cdf" in b.__dict__ for b in instance.behaviors)
+        for n, (instance, problem, _) in loaded.items():
+            original_instance, original_problem, _ = setup[n]
+            assert instance.mdp.transition_cdf == original_instance.mdp.transition_cdf
+            assert problem.policy_rows.tobytes() == original_problem.policy_rows.tobytes()
+            assert [b.cdf for b in instance.behaviors] == [b.cdf for b in original_instance.behaviors]
+
+
+def checkpoint_rows():
+    """Checkpoint means whose norms may overflow when squared, or be NaN."""
+    shapes = st.tuples(st.integers(1, 6), st.integers(1, 12))
+    return shapes.flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(
+        allow_nan=True, allow_infinity=False, width=64)))
+
+
+class TestTrialResultBits:
+    @settings(max_examples=300, deadline=None)
+    @given(series=checkpoint_rows(), kind=st.sampled_from(["sup", "l2"]))
+    def test_error_series_equals_per_row_squares(self, series, kind):
+        problem = harness.FedSamProblem.__new__(harness.FedSamProblem)
+        problem.norm_kind = kind
+        theta = np.ones(series.shape[1])
+        trace = RunTrace(np.arange(len(series)), series, np.zeros(len(series)),
+                         np.zeros(len(series)), 0, theta, theta)
+        with np.errstate(over="ignore"):
+            got = harness._trial_result(problem, Cell(1, 1, 0.1, 10), 0, trace)
+            try:
+                want = [float(norm(row, kind) ** 2) for row in series]
+            except OverflowError:
+                want = None
+        if want is None:
+            assert got.status == "diverged"
+        else:
+            assert repr(got.error_series) == repr(want)
 
 
 class TestAtomicPersist:

@@ -22,7 +22,7 @@ from fedsam.harness import (
     sweep,
 )
 from fedsam.mdp import cdf_table
-from fedsam.sampling import invert_rows, pad_cdf
+from fedsam.sampling import invert_rows
 
 LIMIT = QLearningProblem.lockstep_min_rows
 TRACE_FIELDS = ("checkpoint_ts", "theta_bar_series", "delta_series", "omega_series",
@@ -133,8 +133,10 @@ class TestBatchEqualsTrialsAlone:
 
 @st.composite
 def probability_rows(draw) -> list[list[float]]:
-    """Rows of one width with zero-probability entries among them."""
-    width = draw(st.integers(1, 9))
+    """Rows of one width with zero-probability entries among them; the widths
+    take every first-probe offset up to 9 and powers of two and their
+    neighbours beyond."""
+    width = draw(st.integers(1, 9) | st.sampled_from([15, 16, 17, 200, 255, 256, 257]))
     weight = st.sampled_from([0.0, 0.0, 1e-300, 0.1, 0.25, 0.5, 1.0, 3.0])
     row = st.lists(weight, min_size=width, max_size=width).filter(lambda r: sum(r) > 0)
     return draw(st.lists(row, min_size=1, max_size=4))
@@ -148,18 +150,18 @@ class TestInvertRows:
         probs = np.array([np.array(r) / sum(r) for r in weights])
         flat = cdf_table(probs)
         width = probs.shape[1]
-        cdf = np.frombuffer(flat).reshape(-1, width)
+        table = np.frombuffer(flat)
         # every entry below 1 (zero-probability entries repeat one), its neighbours, 0 and 1-ulp
         values = {0.0, float(np.nextafter(1.0, 0.0)), *extra}
         for entry in flat:
             if entry < 1.0:
                 values |= {entry, float(np.nextafter(entry, 0.0)), float(np.nextafter(entry, 1.0))}
         us = np.array(sorted(v for v in values if 0.0 <= v < 1.0))
-        for row in range(len(cdf)):
+        for row in range(len(probs)):
             rows = np.full(len(us), row)
             lo = row * width
             want = [bisect_right(flat, u, lo, lo + width) - lo for u in us.tolist()]
-            assert invert_rows(pad_cdf(cdf), rows, us).tolist() == want
+            assert invert_rows(table, width, rows, us).tolist() == want
 
 
 class TestLockstepGuard:

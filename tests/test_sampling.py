@@ -13,8 +13,10 @@ from fedsam.harness import GeneratorParams, generate_instance, generate_mdp
 from fedsam.mdp import Mdp, Policy, policy_transition_matrix, stationary_distribution
 from fedsam.sampling import (
     AgentChain,
+    ChainRows,
     MixingEstimate,
     mixing_diagnostics,
+    policy_rows,
     stream,
     total_variation,
 )
@@ -147,7 +149,7 @@ class TestBlockSteps:
         n_states=st.integers(1, 7),
         n_actions=st.integers(1, 3),
         n=st.sampled_from([0, 1, 3]),
-        k=st.sampled_from([1, 5, 64]),
+        k=st.sampled_from([1, 5, 64, 300]),
     )
     def test_block_equals_single_steps(self, seed, n_states, n_actions, n, k):
         rng = np.random.default_rng(seed)
@@ -164,6 +166,64 @@ class TestBlockSteps:
             assert (block.states, block.actions) == (single.states, single.actions)
             assert generator_state(block.rng) == generator_state(single.rng)
         assert block.step() == single.step()
+
+
+def random_chain_set_up(seed: int, n_states: int, n_actions: int):
+    rng = np.random.default_rng(seed)
+    mdp = Mdp(
+        n_states, n_actions, rng.dirichlet(np.ones(n_states), size=(n_states, n_actions)),
+        rng.uniform(size=(n_states, n_actions)), 0.9,
+    )
+    behaviors = [Policy(rng.dirichlet(np.ones(n_actions), size=n_states)) for _ in range(2)]
+    return mdp, behaviors, rng.dirichlet(np.ones(n_states))
+
+
+class TestWalk:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 7), n_actions=st.integers(1, 3))
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("k", [1, 5, 300])
+    def test_walk_equals_single_steps(self, seed, n_states, n_actions, n, k):
+        mdp, (behavior, _), xi = random_chain_set_up(seed, n_states, n_actions)
+        walked = AgentChain(mdp, behavior, xi, n, stream(seed, 1, 0))
+        single = AgentChain(mdp, behavior, xi, n, stream(seed, 1, 0))
+        for _ in range(2):  # the second walk starts where the first left the chain
+            states, actions = walked.walk(k)
+            assert (len(states), len(actions)) == (n + 1 + k, n + k)
+            windows = [(tuple(states[j:j + n + 1]), tuple(actions[j:j + n])) for j in range(k)]
+            assert windows == [single.step() for _ in range(k)]
+            assert (walked.states, walked.actions) == (single.states, single.actions)
+            assert (tuple(states[k:]), tuple(actions[k:])) == (single.states, single.actions)
+            assert generator_state(walked.rng) == generator_state(single.rng)
+
+
+class TestChainRows:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 7), n_actions=st.integers(1, 3),
+           n=st.sampled_from([0, 1, 3]))
+    def test_rows_equal_each_chains_walk_across_a_refill(self, seed, n_states, n_actions, n):
+        mdp, behaviors, xi = random_chain_set_up(seed, n_states, n_actions)
+        agents = [behaviors[0], behaviors[1], behaviors[0], behaviors[0]]  # agents 0, 2, 3 share one
+        horizon = 300
+        assert horizon > ChainRows.LOOKAHEAD
+
+        def chains(reps: int) -> list[AgentChain]:
+            return [AgentChain(mdp, b, xi, n, stream(seed, 1, r, i), i)
+                    for r in range(reps) for i, b in enumerate(agents)]
+
+        rows, alone = chains(2), chains(2)
+        walker = ChainRows(rows, policy_rows(agents), horizon)
+        blocks = [walker.walk_ahead(), walker.walk_ahead()]
+        assert [len(actions) - n for _, actions in blocks] == [ChainRows.LOOKAHEAD, horizon - ChainRows.LOOKAHEAD]
+        for row, chain in enumerate(alone):
+            want_states, want_actions = chain.walk(horizon)
+            got_states = blocks[0][0][:, row].tolist() + blocks[1][0][n + 1:, row].tolist()
+            got_actions = blocks[0][1][:, row].tolist() + blocks[1][1][n:, row].tolist()
+            assert (got_states, got_actions) == (want_states, want_actions)
+            assert generator_state(rows[row].rng) == generator_state(chain.rng)
+        # the rows end on the chains' last windows
+        assert walker.states.T.tolist() == [list(chain.states) for chain in alone]
+        assert walker.actions.T.tolist() == [list(chain.actions) for chain in alone]
 
 
 class TestAdvance:
