@@ -22,7 +22,6 @@ from .engine import (
     FedRunConfig,
     FedSamProblem,
     RunTrace,
-    noise_average_diagnostic,
     output_time_distribution,
     run_fedsam,
     sync_errors,
@@ -41,7 +40,6 @@ from .harness import (
     SweepResult,
     TrialResult,
     generate_instance,
-    iid_scalar_validation,
     load_results,
     persist,
     run_trial,

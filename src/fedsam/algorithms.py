@@ -323,11 +323,7 @@ class _InstanceProblem(FedSamProblem, PickledWithoutCaches):
                  initial_theta: np.ndarray, step_scale: float = 1.0):
         self.mdp, self.behaviors, self.xi = instance.mdp, instance.behaviors, instance.xi
         self.window_n = window_n
-        self.dim, self.n_agents = instance.dim, instance.n_agents
-        self.norm_kind, self.initial_theta, self.step_scale = norm_kind, initial_theta, step_scale
-        self.check_zero_fixed_point = True
-        # not the dataclass __init__: it would store the operators over the methods
-        self.__post_init__()
+        super().__init__(instance.dim, instance.n_agents, norm_kind, initial_theta, step_scale)
 
     def _inside_bound(self, theta: np.ndarray) -> bool:
         """Every entry strictly inside +-finite_bound (false on NaN)."""

@@ -14,7 +14,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 
@@ -46,18 +46,15 @@ def row_norms(mat: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-@dataclass
 class FedSamProblem:
     """Per-agent noisy operators plus their Markovian noise processes.
 
-    apply_g(i, theta, y) and apply_b(i, y) evaluate the agent-i operator and
-    additive noise; make_noise(i, rng) builds the agent's noise process (an
-    object whose .step() yields successive y values, and whose optional
-    .steps(k) yields the next k at once; the engine draws no noise itself).
-    The engine advances each agent one block at a time through `run_block`,
-    which steps through `update`. The operators must satisfy G(i, 0, y) = 0
-    — zero is the common fixed point — which is probed with random samples
-    at construction time.
+    A subclass gives the operators and the noise as methods; an instance may
+    assign its own callables over them. The engine advances each agent one
+    block at a time through `run_block`, which steps through `update`. The
+    operators must satisfy G(i, 0, y) = 0 — zero is the common fixed point —
+    which `__init__` probes with random samples, so a subclass sets what its
+    methods read before it calls `__init__`.
 
     A problem with a row step sets `lockstep_min_rows`, the batch size in
     rows (trials x agents) from which its `lockstep(chains, horizon)` rows
@@ -67,30 +64,36 @@ class FedSamProblem:
     row's first failing step.
     """
 
-    lockstep_min_rows: ClassVar[int | None] = None
+    lockstep_min_rows: int | None = None
 
-    dim: int
-    n_agents: int
-    apply_g: Callable[[int, np.ndarray, Any], np.ndarray]
-    apply_b: Callable[[int, Any], np.ndarray]
-    make_noise: Callable[[int, np.random.Generator], Any]
-    norm_kind: str = NORM_SUP
-    initial_theta: np.ndarray | None = None
-    step_scale: float = 1.0  # engine step = config.step_size * step_scale
-    check_zero_fixed_point: bool = True
-
-    def __post_init__(self):
-        if self.dim < 1 or self.n_agents < 1:
+    def __init__(self, dim: int, n_agents: int, norm_kind: str = NORM_SUP,
+                 initial_theta: np.ndarray | None = None, step_scale: float = 1.0):
+        if dim < 1 or n_agents < 1:
             raise ValueError("dim and n_agents must be positive")
-        if self.norm_kind not in (NORM_SUP, NORM_L2):
-            raise ValueError(f"unknown norm kind {self.norm_kind!r}")
-        if self.initial_theta is not None:
-            theta0 = np.asarray(self.initial_theta, dtype=float)
-            if theta0.shape != (self.dim,):
+        if norm_kind not in (NORM_SUP, NORM_L2):
+            raise ValueError(f"unknown norm kind {norm_kind!r}")
+        if initial_theta is not None:
+            initial_theta = np.asarray(initial_theta, dtype=float)
+            if initial_theta.shape != (dim,):
                 raise ValueError("initial_theta has the wrong dimension")
-            object.__setattr__(self, "initial_theta", theta0)
-        if self.check_zero_fixed_point:
-            self._probe_zero_fixed_point()
+        self.dim, self.n_agents, self.norm_kind = dim, n_agents, norm_kind
+        self.initial_theta = initial_theta
+        self.step_scale = step_scale  # engine step = config.step_size * step_scale
+        self._probe_zero_fixed_point()
+
+    def apply_g(self, i: int, theta: np.ndarray, y) -> np.ndarray:
+        """Agent i's operator G(theta, y) at the noise value y."""
+        raise NotImplementedError
+
+    def apply_b(self, i: int, y) -> np.ndarray:
+        """Agent i's additive noise term b(y)."""
+        raise NotImplementedError
+
+    def make_noise(self, i: int, rng: np.random.Generator):
+        """Agent i's noise process on rng: an object whose .step() yields
+        successive y values, and whose optional .steps(k) yields the next k at
+        once (the engine draws no noise itself)."""
+        raise NotImplementedError
 
     def _probe_zero_fixed_point(self, samples: int = 5, tol: float = 1e-9) -> None:
         zero = np.zeros(self.dim)
@@ -100,7 +103,7 @@ class FedSamProblem:
             for _ in range(samples):
                 y = noise.step()
                 g0 = self.apply_g(i, zero, y)
-                if norm(np.asarray(g0), self.norm_kind) > tol:
+                if not norm(np.asarray(g0), self.norm_kind) <= tol:  # NaN fails too
                     raise ValueError(
                         f"apply_g(i={i}, 0, y) != 0: zero must be the common fixed point"
                     )
@@ -162,12 +165,12 @@ class FedRunConfig:
             raise ValueError("n_agents must be >= 1")
         if self.sync_period < 1:
             raise ValueError("sync_period must be >= 1")
-        if self.step_size < 0:
-            raise ValueError("step_size must be >= 0")
+        if not (math.isfinite(self.step_size) and self.step_size >= 0):
+            raise ValueError("step_size must be finite and >= 0")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.output_c <= 0:
-            raise ValueError("output_c must be > 0")
+        if not (math.isfinite(self.output_c) and self.output_c > 0):
+            raise ValueError("output_c must be finite and > 0")
         if self.checkpoint_stride is not None and self.checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be >= 1")
 
@@ -409,31 +412,3 @@ class _Members(dict):
         self[mask] = trials = [b for b in range(mask.bit_length()) if mask >> b & 1]
         return trials
 
-
-def noise_average_diagnostic(
-    problem: FedSamProblem,
-    n_agents: int,
-    r: int,
-    n_samples: int = 1000,
-    master_seed: int = 0,
-) -> float:
-    """Monte-Carlo estimate of E ||(1/N) sum_i b(y_t^i)||, conditioned r steps back.
-
-    Each agent runs a fresh stream, burns in r steps, and then contributes one
-    b value per recorded sample; the estimate is the average norm of the
-    across-agent mean. Under independent agents this scales like B/sqrt(N)
-    plus a geometrically vanishing mixing term.
-    """
-    if n_agents < 1 or r < 0:
-        raise ValueError("need n_agents >= 1 and r >= 0")
-    noises = [problem.make_noise(i % problem.n_agents, stream(master_seed, TAG_NOISE, 1000 + i)) for i in range(n_agents)]
-    for noise in noises:
-        for _ in range(r):
-            noise.step()
-    total = 0.0
-    for _ in range(n_samples):
-        acc = np.zeros(problem.dim)
-        for i, noise in enumerate(noises):
-            acc += np.asarray(problem.apply_b(i % problem.n_agents, noise.step()))
-        total += norm(acc / n_agents, problem.norm_kind)
-    return total / n_samples

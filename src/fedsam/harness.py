@@ -39,7 +39,6 @@ from .sampling import stream, tau_alpha
 
 TAG_GEN = 10
 TAG_TRIAL = 11
-TAG_IID = 12
 
 K_RULE_T_OVER_N = "T_over_N"
 
@@ -682,82 +681,6 @@ def k_trend_z(result: SweepResult, n_agents: int, alpha: float) -> tuple[float, 
             ks.append(float(tr.sync_period))
             vals.append(tr.mse)
     return spearman_trend(ks, vals)
-
-
-# ---------------------------------------------------------------------------
-# Exact i.i.d. scalar recursion study
-# ---------------------------------------------------------------------------
-
-@dataclass
-class IidValidationReport:
-    alpha: float
-    sigma: float
-    x0: float
-    replications: int
-    ts: list[int]
-    empirical: list[float]
-    exact: list[float]
-    std_errors: list[float]
-    max_std_dev: float
-
-    def within(self, n_sigmas: float = 3.0) -> bool:
-        return self.max_std_dev <= n_sigmas
-
-
-def iid_second_moment_exact(alpha: float, sigma: float, x0: float, t: int) -> float:
-    """Closed-form E[x_t^2] of x_{t+1} = x_t + alpha (X_t - x_t), X iid (0, sigma^2)."""
-    tail = alpha * sigma**2 / (2.0 - alpha)
-    return (x0**2 - tail) * (1.0 - alpha) ** (2 * t) + tail
-
-
-def iid_scalar_validation(
-    alpha: float = 0.1,
-    sigma: float = 1.0,
-    x0: float = 1.0,
-    ts: tuple[int, ...] = (0, 10, 50, 200),
-    replications: int = 100_000,
-    seed: int = 0,
-) -> IidValidationReport:
-    """Simulate the scalar recursion and compare E[x_t^2] to its closed form.
-
-    The recursion is exactly solvable, which makes it a quantitative oracle
-    for the whole stochastic-approximation machinery: the reported deviation
-    is standardized by the Monte-Carlo standard error per checkpoint.
-    """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    rng = stream(seed, TAG_IID)
-    ts = tuple(sorted(set(int(t) for t in ts)))
-    x = np.full(replications, float(x0))
-    empirical, exact, errs, devs = [], [], [], []
-    checkpoints = set(ts)
-
-    def record(t: int) -> None:
-        sq = x * x
-        emp = float(sq.mean())
-        se = float(sq.std(ddof=1) / math.sqrt(replications))
-        ex = iid_second_moment_exact(alpha, sigma, x0, t)
-        empirical.append(emp)
-        exact.append(ex)
-        errs.append(se)
-        if se == 0.0:
-            devs.append(0.0 if emp == ex else float("inf"))
-        else:
-            devs.append(abs(emp - ex) / se)
-
-    if 0 in checkpoints:
-        record(0)
-    for t in range(1, max(ts) + 1):
-        x += alpha * (rng.normal(0.0, sigma, size=replications) - x)
-        if t in checkpoints:
-            record(t)
-    return IidValidationReport(
-        alpha=alpha, sigma=sigma, x0=x0, replications=replications,
-        ts=list(ts), empirical=empirical, exact=exact, std_errors=errs,
-        max_std_dev=max(devs),
-    )
 
 
 # ---------------------------------------------------------------------------

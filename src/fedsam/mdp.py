@@ -409,14 +409,6 @@ def projected_fixed_point_residual(
     return float(np.linalg.norm(phi @ v - proj @ bellman_n))
 
 
-def greedy_policy(q: np.ndarray) -> Policy:
-    """Deterministic policy picking argmax_a Q(s,a), lowest index on ties."""
-    q = np.asarray(q, dtype=float)
-    probs = np.zeros_like(q)
-    probs[np.arange(q.shape[0]), q.argmax(axis=1)] = 1.0
-    return Policy(probs)
-
-
 def importance_ratio(target: Policy, behavior: Policy, s: int, a: int) -> float:
     """pi(a|s) / pi_b(a|s), guarding against missing coverage."""
     num = target.probs[s, a]

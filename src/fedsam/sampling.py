@@ -18,7 +18,6 @@ from .mdp import Mdp, Policy, cdf_table, eigen_moduli, stationary_distribution
 # Stream tags keep the independent random streams of one run disjoint.
 TAG_NOISE = 1
 TAG_OUTPUT_TIME = 2
-TAG_PROBE = 3
 
 
 def stream(master_seed: int, *ids: int) -> np.random.Generator:
@@ -33,10 +32,10 @@ class AgentChain:
     Holds the last n+1 states and n actions (S_t..S_{t+n}, A_t..A_{t+n-1}) as
     immutable tuples. Construction draws S_0 ~ xi and n warm-up transitions.
     `walk(k)` is the one walk: block kernels call it and keep only their
-    arithmetic, and `advance`, `step` (the noise process) and `steps` are
-    built on it. A transition draws two uniforms from `rng`, the action's,
-    then the next state's, each inverted with `bisect_right` against a row
-    of the pinned tables that the MDP and the policy build once and share.
+    arithmetic, and `step` (the noise process) and `steps` are built on it.
+    A transition draws two uniforms from `rng`, the action's, then the next
+    state's, each inverted with `bisect_right` against a row of the pinned
+    tables that the MDP and the policy build once and share.
     """
 
     def __init__(self, mdp: Mdp, behavior: Policy, xi: np.ndarray, n: int,
@@ -77,11 +76,6 @@ class AgentChain:
         n = self.n_step
         self.states, self.actions = tuple(states[-n - 1:]), tuple(actions[len(actions) - n:])
         return states, actions
-
-    def advance(self) -> tuple[int, int]:
-        """Walk one transition; returns the newest (action, state) pair."""
-        states, actions = self.walk(1)
-        return actions[-1], states[-1]
 
     def step(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The current (states, actions) window; the chain then advances."""
@@ -165,10 +159,6 @@ def invert_rows(table: np.ndarray, width: int, rows: np.ndarray, u: np.ndarray) 
         pos = pos + (table[pos + (step - 1)] <= u) * jump
         step = jump = step >> 1
     return pos + (table[pos] <= u) - start  # the last probe, with a jump of 1
-
-
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,11 @@ from .algorithms import (
     spectral_radius_at_beta,
     theory_constants,
 )
-from .engine import FedSamProblem, noise_average_diagnostic, output_time_distribution
+from .engine import FedSamProblem, norm, output_time_distribution
 from .harness import (
     ExperimentSpec,
     GeneratorParams,
     generate_instance,
-    iid_scalar_validation,
     k_trend_z,
     persist,
     sweep,
@@ -54,9 +53,10 @@ from .mdp import (
     reward_under_policy,
     value_function_oracle,
 )
-from .sampling import AgentChain, stream
+from .sampling import TAG_NOISE, AgentChain, stream
 
 DEFAULT_SEED = 2024
+TAG_IID = 12
 _REL_SLACK = 1e-12  # numerical headroom on "never exceeds" comparisons
 
 
@@ -81,6 +81,78 @@ def _acceptance_params(n_agents: int = 3) -> GeneratorParams:
 # ---------------------------------------------------------------------------
 # Criterion 1: exact i.i.d. scalar recursion
 # ---------------------------------------------------------------------------
+
+@dataclass
+class IidValidationReport:
+    alpha: float
+    sigma: float
+    x0: float
+    replications: int
+    ts: list[int]
+    empirical: list[float]
+    exact: list[float]
+    std_errors: list[float]
+    max_std_dev: float
+
+    def within(self, n_sigmas: float = 3.0) -> bool:
+        return self.max_std_dev <= n_sigmas
+
+
+def iid_second_moment_exact(alpha: float, sigma: float, x0: float, t: int) -> float:
+    """Closed-form E[x_t^2] of x_{t+1} = x_t + alpha (X_t - x_t), X iid (0, sigma^2)."""
+    tail = alpha * sigma**2 / (2.0 - alpha)
+    return (x0**2 - tail) * (1.0 - alpha) ** (2 * t) + tail
+
+
+def iid_scalar_validation(
+    alpha: float = 0.1,
+    sigma: float = 1.0,
+    x0: float = 1.0,
+    ts: tuple[int, ...] = (0, 10, 50, 200),
+    replications: int = 100_000,
+    seed: int = 0,
+) -> IidValidationReport:
+    """Simulate the scalar recursion and compare E[x_t^2] to its closed form.
+
+    The recursion is exactly solvable, which makes it a quantitative oracle
+    for the whole stochastic-approximation machinery: the reported deviation
+    is standardized by the Monte-Carlo standard error per checkpoint.
+    """
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    rng = stream(seed, TAG_IID)
+    ts = tuple(sorted(set(int(t) for t in ts)))
+    x = np.full(replications, float(x0))
+    empirical, exact, errs, devs = [], [], [], []
+    checkpoints = set(ts)
+
+    def record(t: int) -> None:
+        sq = x * x
+        emp = float(sq.mean())
+        se = float(sq.std(ddof=1) / math.sqrt(replications))
+        ex = iid_second_moment_exact(alpha, sigma, x0, t)
+        empirical.append(emp)
+        exact.append(ex)
+        errs.append(se)
+        if se == 0.0:
+            devs.append(0.0 if emp == ex else float("inf"))
+        else:
+            devs.append(abs(emp - ex) / se)
+
+    if 0 in checkpoints:
+        record(0)
+    for t in range(1, max(ts) + 1):
+        x += alpha * (rng.normal(0.0, sigma, size=replications) - x)
+        if t in checkpoints:
+            record(t)
+    return IidValidationReport(
+        alpha=alpha, sigma=sigma, x0=x0, replications=replications,
+        ts=list(ts), empirical=empirical, exact=exact, std_errors=errs,
+        max_std_dev=max(devs),
+    )
+
 
 def check_iid_recursion(seed: int = DEFAULT_SEED) -> CheckResult:
     report = iid_scalar_validation(
@@ -341,21 +413,52 @@ class _ClippedNormalNoise:
         return float(np.clip(self.rng.normal(), -self.clip, self.clip))
 
 
-def _iid_scalar_problem(n_agents: int) -> FedSamProblem:
-    return FedSamProblem(
-        dim=1,
-        n_agents=n_agents,
-        apply_g=lambda i, th, y: np.zeros(1),
-        apply_b=lambda i, y: np.array([y]),
-        make_noise=lambda i, rng: _ClippedNormalNoise(rng),
-        norm_kind="sup",
-    )
+class _IidScalarProblem(FedSamProblem):
+    """G = 0 and b(y) = y in one dimension, on clipped i.i.d. normal noise."""
+
+    def apply_g(self, i: int, theta: np.ndarray, y) -> np.ndarray:
+        return np.zeros(1)
+
+    def apply_b(self, i: int, y) -> np.ndarray:
+        return np.array([y])
+
+    def make_noise(self, i: int, rng: np.random.Generator) -> _ClippedNormalNoise:
+        return _ClippedNormalNoise(rng)
+
+
+def noise_average_diagnostic(
+    problem: FedSamProblem,
+    n_agents: int,
+    r: int,
+    n_samples: int = 1000,
+    master_seed: int = 0,
+) -> float:
+    """Monte-Carlo estimate of E ||(1/N) sum_i b(y_t^i)||, conditioned r steps back.
+
+    Each agent runs a fresh stream, burns in r steps, and then contributes one
+    b value per recorded sample; the estimate is the average norm of the
+    across-agent mean. Under independent agents this scales like B/sqrt(N)
+    plus a geometrically vanishing mixing term.
+    """
+    if n_agents < 1 or r < 0:
+        raise ValueError("need n_agents >= 1 and r >= 0")
+    noises = [problem.make_noise(i % problem.n_agents, stream(master_seed, TAG_NOISE, 1000 + i)) for i in range(n_agents)]
+    for noise in noises:
+        for _ in range(r):
+            noise.step()
+    total = 0.0
+    for _ in range(n_samples):
+        acc = np.zeros(problem.dim)
+        for i, noise in enumerate(noises):
+            acc += np.asarray(problem.apply_b(i % problem.n_agents, noise.step()))
+        total += norm(acc / n_agents, problem.norm_kind)
+    return total / n_samples
 
 
 def check_noise_average_scaling(seed: int = DEFAULT_SEED, samples: int = 10_000) -> CheckResult:
     estimates = {}
     for n in (1, 4, 16):
-        problem = _iid_scalar_problem(n)
+        problem = _IidScalarProblem(dim=1, n_agents=n)
         estimates[n] = noise_average_diagnostic(problem, n, r=0, n_samples=samples, master_seed=seed)
     worst = 0.0
     for n in (4, 16):

@@ -25,7 +25,9 @@ def test_criterion_01_iid_recursion_closed_form():
     # E[x_t^2] within 3 standard errors of the exact second moment at
     # t in {0, 10, 50, 200}, 1e5 replications
     t0 = time.perf_counter()
-    report(validation.check_iid_recursion(SEED), t0, 30)
+    result = validation.check_iid_recursion(SEED)
+    report(result, t0, 30)
+    assert result.observed == "max standardized deviation 0.57 (limit 3.0) at t=[0, 10, 50, 200]"
 
 
 def test_criterion_02_oracle_consistency():
@@ -66,6 +68,14 @@ def test_criterion_05_assumption_suite():
         assert result.passed, result.line()
     print(f"assumption suite: [{elapsed:.1f}s / 60s budget]")
     assert elapsed < 60
+    # the seeded report strings, as `fedsam validate` writes them
+    assert [result.observed for result in results] == [
+        "worst sampled/declared ratio 0.9988 (A2 on on_policy_td_lfa); every sample within bounds: True",
+        "E||avg b|| = N=1: 0.7876, N=4: 0.3964, N=16: 0.1987; "
+        "worst relative deviation from 1/sqrt(N) scaling 0.009 (<=0.20)",
+        "chi-square 0.01 on a 2x2 table of 100000 thinned paired samples (3-sigma limit 9.0)",
+        "|E[G] - Gbar| at t=0/8/32: 0.5151/0.2218/0.0081 (Monte-Carlo floor ~0.0431)",
+    ]
 
 
 def test_criterion_06_single_node_convergence():

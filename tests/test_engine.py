@@ -13,7 +13,6 @@ from fedsam.algorithms import OFF_POLICY_TD_TABULAR, ON_POLICY_TD_LFA, Q_LEARNIN
 from fedsam.engine import (
     FedRunConfig,
     FedSamProblem,
-    noise_average_diagnostic,
     norm,
     output_time_distribution,
     row_norms,
@@ -24,6 +23,21 @@ from fedsam.engine import (
 from fedsam.errors import DivergenceError
 from fedsam.harness import GeneratorParams, generate_instance
 from fedsam.sampling import TAG_NOISE, stream
+from fedsam.validation import noise_average_diagnostic
+
+
+class ClosureProblem(FedSamProblem):
+    """A FedSamProblem whose operators and noise are the callables given."""
+
+    def __init__(self, dim, n_agents, apply_g, apply_b, make_noise, **kwargs):
+        self.apply_g, self.apply_b, self.make_noise = apply_g, apply_b, make_noise
+        super().__init__(dim, n_agents, **kwargs)
+
+
+def past_dbl_max(theta):
+    """theta scaled past DBL_MAX: inf (with its sign) wherever theta is not
+    tiny, and 0 where it is 0, so an operator built on it keeps G(i, 0, y) = 0."""
+    return theta * 1e300 * 1e300
 
 
 class _NullNoise:
@@ -53,7 +67,7 @@ class _RngNoise:
 
 
 def deterministic_problem(gamma_c: float, dim: int = 1, n_agents: int = 1) -> FedSamProblem:
-    return FedSamProblem(
+    return ClosureProblem(
         dim=dim,
         n_agents=n_agents,
         apply_g=lambda i, th, y: gamma_c * th,
@@ -65,7 +79,7 @@ def deterministic_problem(gamma_c: float, dim: int = 1, n_agents: int = 1) -> Fe
 
 
 def iid_problem(n_agents: int = 1) -> FedSamProblem:
-    return FedSamProblem(
+    return ClosureProblem(
         dim=1,
         n_agents=n_agents,
         apply_g=lambda i, th, y: np.zeros(1),
@@ -122,7 +136,7 @@ def traced(prob: FedSamProblem, n_agents: int = 1, sync_period: int = 1, step_si
 
 class TestLocalStep:
     def test_fixed_point_input_unchanged(self):
-        prob = FedSamProblem(
+        prob = ClosureProblem(
             dim=1, n_agents=1,
             apply_g=lambda i, th, y: th,
             apply_b=lambda i, y: np.zeros(1),
@@ -137,7 +151,7 @@ class TestLocalStep:
 
     def test_hand_arithmetic(self):
         # G = 0.5 theta, b = 1, theta = 2, alpha = 0.1: 2 + 0.1(1 - 2 + 1) = 2.0
-        prob = FedSamProblem(
+        prob = ClosureProblem(
             dim=1, n_agents=1,
             apply_g=lambda i, th, y: 0.5 * th,
             apply_b=lambda i, y: np.ones(1),
@@ -149,15 +163,14 @@ class TestLocalStep:
 
     def test_divergence_error_carries_context(self):
         def blow_up(i, th, y):
-            return th * np.inf if (i, y) == (3, 17) else 0.5 * th
+            return past_dbl_max(th) if (i, y) == (3, 17) else 0.5 * th
 
-        prob = FedSamProblem(
+        prob = ClosureProblem(
             dim=1, n_agents=4,
             apply_g=blow_up,
             apply_b=lambda i, y: np.zeros(1),
             make_noise=lambda i, rng: _StepCounter(),
             initial_theta=np.ones(1),
-            check_zero_fixed_point=False,
         )
         with pytest.raises(DivergenceError) as err:
             traced(prob, n_agents=4, sync_period=50, step_size=0.5, horizon=50)
@@ -168,15 +181,14 @@ class TestLocalStep:
         fail_at = {1: 2, 2: 3, 3: 2}
 
         def blow_up(i, th, y):
-            return th * np.inf if fail_at.get(i) == y else 0.5 * th
+            return past_dbl_max(th) if fail_at.get(i) == y else 0.5 * th
 
-        prob = FedSamProblem(
+        prob = ClosureProblem(
             dim=1, n_agents=4,
             apply_g=blow_up,
             apply_b=lambda i, y: np.zeros(1),
             make_noise=lambda i, rng: _StepCounter(),
             initial_theta=np.ones(1),
-            check_zero_fixed_point=False,
         )
         with pytest.raises(DivergenceError) as err:
             traced(prob, n_agents=4, sync_period=8, step_size=0.5, horizon=8)
@@ -184,7 +196,7 @@ class TestLocalStep:
 
     def test_finite_entries_with_overflowing_sum_diverge(self):
         # every entry stays finite, but the row sum the guard takes overflows
-        prob = FedSamProblem(
+        prob = ClosureProblem(
             dim=2, n_agents=2,
             apply_g=lambda i, th, y: th,
             apply_b=lambda i, y: np.full(2, 1e308) if (i, y) == (1, 5) else np.zeros(2),
@@ -229,7 +241,7 @@ class TestSyncAverage:
         # the barrier after every step leaves identical rows as they are, so
         # the run equals the single-agent run bitwise
         def problem(n_agents):
-            return FedSamProblem(
+            return ClosureProblem(
                 dim=2, n_agents=n_agents,
                 apply_g=lambda i, th, y: 0.5 * th,
                 apply_b=lambda i, y: np.zeros(2),
@@ -246,7 +258,7 @@ class TestSyncAverage:
 
     def test_two_scalars(self):
         # G = theta, b_i = 1 + 2i, alpha = 1: the rows 1 and 3 average to 2
-        prob = FedSamProblem(
+        prob = ClosureProblem(
             dim=1, n_agents=2,
             apply_g=lambda i, th, y: th,
             apply_b=lambda i, y: np.array([1.0 + 2.0 * i]),
@@ -259,7 +271,7 @@ class TestSyncAverage:
     def test_idempotent(self):
         # identical agents: averaging their identical rows at every step
         # changes nothing, so K=1 and a single final barrier agree bitwise
-        prob = FedSamProblem(
+        prob = ClosureProblem(
             dim=3, n_agents=4,
             apply_g=lambda i, th, y: 0.3 * th,
             apply_b=lambda i, y: np.array([0.7, -0.1, 1.3]),
@@ -276,7 +288,7 @@ class TestSyncAverage:
         # so a start that is not one dim-vector is rejected up front
         for bad in (np.zeros((3, 1)), np.zeros(3)):
             with pytest.raises(ValueError, match="initial_theta"):
-                FedSamProblem(
+                ClosureProblem(
                     dim=1, n_agents=3,
                     apply_g=lambda i, th, y: th,
                     apply_b=lambda i, y: np.zeros(1),
@@ -359,19 +371,23 @@ class TestRowNormBits:
 
 class TestProblemRegistration:
     def test_zero_fixed_point_enforced(self):
-        with pytest.raises(ValueError, match="fixed point"):
-            FedSamProblem(
-                dim=1, n_agents=1,
-                apply_g=lambda i, th, y: th + 1.0,
-                apply_b=lambda i, y: np.zeros(1),
-                make_noise=lambda i, rng: _NullNoise(),
-            )
+        # a NaN or infinite G(0) is no zero either
+        for shift in (1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="fixed point"):
+                ClosureProblem(
+                    dim=1, n_agents=1,
+                    apply_g=lambda i, th, y: th + shift,
+                    apply_b=lambda i, y: np.zeros(1),
+                    make_noise=lambda i, rng: _NullNoise(),
+                )
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FedRunConfig(n_agents=0, sync_period=1, step_size=0.1, horizon=10, output_c=1.0, master_seed=0)
-        with pytest.raises(ValueError):
-            FedRunConfig(n_agents=1, sync_period=1, step_size=0.1, horizon=10, output_c=0.0, master_seed=0)
+        good = dict(n_agents=1, sync_period=1, step_size=0.1, horizon=10, output_c=1.0, master_seed=0)
+        FedRunConfig(**good)
+        for key, bad in [("n_agents", 0), ("output_c", 0.0), ("step_size", np.nan),
+                         ("step_size", np.inf), ("output_c", np.nan), ("output_c", np.inf)]:
+            with pytest.raises(ValueError, match=key):
+                FedRunConfig(**{**good, key: bad})
 
     def test_short_horizon_warning(self):
         cfg = FedRunConfig(n_agents=1, sync_period=4, step_size=0.1, horizon=10, output_c=0.9, master_seed=0)
@@ -445,13 +461,12 @@ class TestRunFedsam:
         def blow_up(i, th, y):
             return th * (1e60 if i == 1 else 0.5)
 
-        prob = FedSamProblem(
+        prob = ClosureProblem(
             dim=1, n_agents=2,
             apply_g=blow_up,
             apply_b=lambda i, y: np.zeros(1),
             make_noise=lambda i, rng: _NullNoise(),
             initial_theta=np.ones(1),
-            check_zero_fixed_point=False,
         )
         cfg = FedRunConfig(
             n_agents=2, sync_period=50, step_size=1.0, horizon=50, output_c=0.9, master_seed=0
@@ -512,7 +527,7 @@ class TestNoiseAverageDiagnostic:
             def step(self):
                 return float(self.rng.uniform(-1, 1))
 
-        prob = FedSamProblem(
+        prob = ClosureProblem(
             dim=1, n_agents=1,
             apply_g=lambda i, th, y: np.zeros(1),
             apply_b=lambda i, y: np.array([y]),

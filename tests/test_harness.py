@@ -36,8 +36,6 @@ from fedsam.harness import (
     GeneratorParams,
     build_instance_for_spec,
     generate_instance,
-    iid_scalar_validation,
-    iid_second_moment_exact,
     instance_from_files,
     k_trend_z,
     load_results,
@@ -51,6 +49,7 @@ from fedsam.harness import (
 )
 from fedsam.mdp import Mdp, Policy, eigen_moduli, policy_transition_matrix, stationary_distribution
 from fedsam.sampling import MixingEstimate, mixing_diagnostics, tau_alpha
+from fedsam.validation import iid_scalar_validation, iid_second_moment_exact
 
 SMALL = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.6, d=2, n_step=1, n_agents=4)
 

@@ -15,7 +15,6 @@ from fedsam.mdp import (
     bellman_residual,
     certified_stationary,
     eigen_moduli,
-    greedy_policy,
     importance_ratio,
     importance_ratio_max,
     importance_ratio_table,
@@ -296,7 +295,10 @@ class TestQStarOracle:
 
     def test_greedy_policy_beats_random_policies(self):
         mdp = random_mdp(5, 3, 0.85, seed=6)
-        v_greedy = value_function_oracle(mdp, greedy_policy(q_star_oracle(mdp)))
+        q = q_star_oracle(mdp)
+        greedy = np.zeros_like(q)
+        greedy[np.arange(5), q.argmax(axis=1)] = 1.0
+        v_greedy = value_function_oracle(mdp, Policy(greedy))
         for seed in range(50):
             v_other = value_function_oracle(mdp, random_policy(5, 3, seed))
             assert np.all(v_greedy >= v_other - 1e-9)
