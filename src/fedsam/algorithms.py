@@ -11,6 +11,7 @@ cross-checking the reduction.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
@@ -35,7 +36,7 @@ from .mdp import (
     value_function_oracle,
 )
 from .errors import DivergenceError, ErgodicityError
-from .sampling import AgentChain, ChainRows, MixingEstimate, mixing_diagnostics, policy_rows
+from .sampling import AgentChain, ChainRows, MixingEstimate, mixing_diagnostics, policy_rows, start_table
 
 ON_POLICY_TD_LFA = "on_policy_td_lfa"
 OFF_POLICY_TD_TABULAR = "off_policy_td_tabular"
@@ -304,7 +305,7 @@ class _InstanceProblem(FedSamProblem, PickledWithoutCaches):
     """An instance's FedSamProblem, with the operators and the noise as methods.
 
     Subclasses hold arrays and plain lists only, so a built problem pickles
-    (without its `policy_rows`, rebuilt on first use). The block kernels of
+    (without its cached tables, rebuilt on first use). The block kernels of
     the tabular kinds read Python floats (per-state rows as lists): the same
     doubles as the operators read, so the same bits. Their noise terms come
     from O(S A) rows, in an (s, a, s') broadcast's order. They take a block's
@@ -313,11 +314,9 @@ class _InstanceProblem(FedSamProblem, PickledWithoutCaches):
     `step()` calls would.
 
     Their finite guard is `FedSamProblem.run_block`'s, made cheaper: while
-    every entry lies strictly inside +-finite_bound, the row's sum is finite.
-    A block of k > 1 steps that starts so checks only the entry each step
-    writes; from the first write at or beyond the bound (or NaN), and in
-    one-step blocks, it sums the row as the generic guard does.
-    """
+    every entry lies strictly inside +-finite_bound, the row's sum is finite,
+    so a block of k > 1 steps that starts so checks only the entries it writes
+    until one is at or beyond the bound (or NaN); then it sums the row."""
 
     def __init__(self, instance: AlgorithmInstance, window_n: int, norm_kind: str,
                  initial_theta: np.ndarray, step_scale: float = 1.0):
@@ -330,7 +329,13 @@ class _InstanceProblem(FedSamProblem, PickledWithoutCaches):
         return float(np.maximum.reduce(np.abs(theta))) < self.finite_bound
 
     def make_noise(self, agent_id: int, rng: np.random.Generator) -> AgentChain:
-        return AgentChain(self.mdp, self.behaviors[agent_id], self.xi, self.window_n, rng, agent_id)
+        return AgentChain(self.mdp, self.behaviors[agent_id], None, self.window_n, rng, agent_id,
+                          xi_cdf=self.xi_cdf)
+
+    @cached_property
+    def xi_cdf(self) -> array:
+        """`sampling.start_table` of xi, shared by every chain of the problem."""
+        return start_table(self.xi, self.mdp.n_states)
 
     @cached_property
     def policy_rows(self) -> np.ndarray:
@@ -512,26 +517,62 @@ class QLearningProblem(_InstanceProblem):
         return QLearningRows(self, chains, horizon)
 
 
-class QLearningRows:
-    """The chains of a Q-learning lockstep batch, one per row, stepped together.
+class LockstepRows:
+    """The chains of a lockstep batch, one per row, walked ahead together as
+    `sampling.ChainRows`. A kind gives only `_gather`, which gathers what the
+    next lookahead's steps read and returns their count, and `step`, which
+    takes lookahead step `j` on every row and returns the entries it wrote."""
 
-    The chains walk ahead together as `sampling.ChainRows`, and the table
-    entries each step reads are gathered for a whole lookahead at once.
-    `step` then applies `QLearningProblem.run_block`'s arithmetic,
-    elementwise in the same order; `np.where(c > m, c, m)` is Python's `max`.
-    `run` steps a block and holds the finite guard.
-    """
+    def __init__(self, problem: _InstanceProblem, chains: list[AgentChain], horizon: int):
+        self.walker = ChainRows(chains, problem.policy_rows, horizon)
+        self.bound, self.n_agents = problem.finite_bound, problem.n_agents
+        self.watch = np.zeros(len(chains), dtype=bool)  # per row: inside +-bound, so its sum is finite
+        self.watched = False  # every row is watched
+        self.j = self.k = 0
+
+    def run(self, thetas: np.ndarray, t: int, t_stop: int, alpha: float) -> list[tuple[int, int]]:
+        """Step every row of thetas from t to t_stop in place; returns the (step,
+        row) of each row's first step whose isfinite(np.add.reduce(row)) fails.
+        A watched row's written entries are checked, a row not watched is summed."""
+        bound, watch = self.bound, self.watch
+        failed: dict[int, int] = {}
+        for step in range(t, t_stop):
+            if self.j == self.k:
+                self.j, self.k = 0, self._gather()
+            v = self.step(thetas, alpha)
+            self.j += 1
+            if self.watched and np.maximum.reduce(np.abs(v)) < bound:  # false on NaN
+                continue
+            self.watched = False
+            watch &= np.abs(v) < bound
+            summed = np.flatnonzero(~watch)
+            for row in summed[~np.isfinite(np.add.reduce(thetas[summed], axis=1))].tolist():
+                failed.setdefault(row, step)
+        return [(step, row) for row, step in failed.items()]
+
+    def synced(self, trials, means: np.ndarray) -> None:
+        """The agent rows of `trials` (a slice or an index array) were set to
+        their `means`, at the start or by a barrier whose sums may overflow."""
+        if self.watched and np.maximum.reduce(np.abs(means), axis=None) < self.bound:
+            return  # false on NaN
+        inside = np.maximum.reduce(np.abs(means), axis=1) < self.bound
+        self.watch.reshape(-1, self.n_agents)[trials] = inside[:, None]
+        self.watched = bool(self.watch.all())
+
+
+class QLearningRows(LockstepRows):
+    """`step` applies `QLearningProblem.run_block`'s arithmetic, elementwise in
+    the same order; `np.where(c > m, c, m)` is Python's `max`."""
 
     def __init__(self, problem: QLearningProblem, chains: list[AgentChain], horizon: int):
-        self.walker = ChainRows(chains, problem.policy_rows, horizon)
-        self.n_actions, self.gamma, self.bound = problem.n_actions, problem.gamma, problem.finite_bound
+        super().__init__(problem, chains, horizon)
+        self.n_actions, self.gamma = problem.n_actions, problem.gamma
         self.q_star, self.gamma_q_max = problem.q_star, problem.gamma_q_max
         self.reward_flat, self.q_flat = problem.mdp.reward.reshape(-1), problem.q_star.reshape(-1)
         self.row_off = np.arange(len(chains)) * problem.dim
-        self.j = self.k = 0
 
-    def _gather(self) -> None:
-        """Walk every row ahead; gather what its next steps read."""
+    def _gather(self) -> int:
+        """Walk every row ahead; gather what its next k steps read; returns k."""
         states, actions = self.walker.walk_ahead()
         k, n_actions = len(actions) - 1, self.n_actions
         sa_steps, s2_steps = states[:k] * n_actions + actions[:k], states[1:k + 1]
@@ -540,33 +581,11 @@ class QLearningRows:
         self.q_next = self.q_star[s2_steps]
         self.gamma_q_next = self.gamma_q_max[s2_steps]
         self.b = (self.reward_flat[sa_steps] + self.gamma_q_next) - self.q_flat[sa_steps]
-        self.j, self.k = 0, k
-
-    def run(self, thetas: np.ndarray, t: int, t_stop: int, alpha: float) -> list[tuple[int, int]]:
-        """Step every row of thetas from t to t_stop in place; returns the
-        (step, row) of each row's first step whose isfinite(np.add.reduce(row))
-        fails. Rows change between blocks only at barriers, so every row is
-        scanned at block start: while all its entries lie inside
-        +-finite_bound its sum is finite, and only the entries each step
-        writes are watched. A row is summed only while it is not watched.
-        """
-        bound = self.bound
-        watch = np.maximum.reduce(np.abs(thetas), axis=1) < bound
-        failed: dict[int, int] = {}
-        for step in range(t, t_stop):
-            watch &= np.abs(self.step(thetas, alpha)) < bound
-            if not watch.all():
-                summed = np.flatnonzero(~watch)
-                for row in summed[~np.isfinite(np.add.reduce(thetas[summed], axis=1))].tolist():
-                    failed.setdefault(row, step)
-        return [(step, row) for row, step in failed.items()]
+        return k
 
     def step(self, thetas: np.ndarray, alpha: float) -> np.ndarray:
-        """One step of every row of thetas, written in place; returns the written entries."""
-        if self.j == self.k:
-            self._gather()
+        """Lookahead step j of every row of thetas, written in place; returns the written entries."""
         j = self.j
-        self.j += 1
         flat = thetas.reshape(-1)
         candidates = flat[self.next_row[j]]
         candidates += self.q_next[j]
@@ -801,11 +820,9 @@ def _lfa_sampled_bounds(instance: AlgorithmInstance) -> tuple[float, float]:
     )
     v_pi = instance.fixed_point
     values = phi @ v_pi
-    td_max = 0.0
-    for s in range(mdp.n_states):
-        for a in range(mdp.n_actions):
-            worst_next = float(np.abs(mdp.reward[s, a] + gamma * values - values[s]).max())
-            td_max = max(td_max, worst_next)
+    td = mdp.reward[:, :, None] + gamma * values
+    td -= values[:, None, None]
+    td_max = float(np.abs(td, out=td).max())
     phi_norm_max = float(np.linalg.norm(phi, axis=1).max())
     b_bound = phi_norm_max * _geometric_span(gamma, n) * td_max / beta
     return a_bound, b_bound

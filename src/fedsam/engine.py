@@ -58,10 +58,7 @@ class FedSamProblem:
 
     A problem with a row step sets `lockstep_min_rows`, the batch size in
     rows (trials x agents) from which its `lockstep(chains, horizon)` rows
-    beat `run_block`. Their `run(thetas, t, t_stop, alpha)` advances every
-    row of thetas in place from step t to t_stop, each on its own chain (as
-    `sampling.ChainRows` walks them), and returns the (step, row) of each
-    row's first failing step.
+    (`algorithms.LockstepRows`) beat `run_block`, each row on its own chain.
     """
 
     lockstep_min_rows: int | None = None
@@ -220,70 +217,52 @@ def sample_output_index(master_seed: int, c: float, horizon: int) -> int:
 
 
 def sync_errors(thetas: np.ndarray, norm_kind: str = NORM_SUP) -> tuple[float, float]:
-    """(Delta, Omega): mean and mean-square dispersion around the agent average.
+    """(Delta, Omega): mean and mean-square dispersion around the agent average."""
+    _, (delta,), (omega,) = checkpoint_stats(np.asarray(thetas, dtype=float)[None], slice(None), norm_kind)
+    return float(delta), float(omega)
 
-    Bit-identical rows (the state right after a sync barrier) report exactly
-    (0, 0); recomputing their mean would otherwise leave summation-order dust
-    at the last ulp.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    if (thetas == thetas[0]).all():
-        return 0.0, 0.0
-    n = len(thetas)
-    dists = row_norms(np.add.reduce(thetas, 0) / n - thetas, norm_kind)
-    # np.add.reduce(x) / n is x.mean(), bit for bit
-    return float(np.add.reduce(dists) / n), float(np.add.reduce(dists**2) / n)
+
+def checkpoint_stats(stack: np.ndarray, trials, norm_kind: str) -> tuple:
+    """The agent mean (bit for bit m.mean(axis=0)) and `sync_errors` of each
+    trial that `trials`, a slice or an index array, selects from a (trials, N,
+    dim) stack, in one pass. Bit-identical rows (as after a barrier) report
+    exactly (0, 0), without the dust of a recomputed mean."""
+    part = stack[trials]
+    r, n, dim = part.shape
+    means = np.add.reduce(part, 1) / n
+    same = np.logical_and.reduce((part == part[:, :1]).reshape(r, -1), axis=1)
+    if np.logical_and.reduce(same):
+        return means, np.zeros(r), np.zeros(r)
+    dists = row_norms((means[:, None] - part).reshape(-1, dim), norm_kind).reshape(r, n)
+    deltas, omegas = np.add.reduce(dists, 1) / n, np.add.reduce(dists**2, 1) / n
+    deltas[same] = omegas[same] = 0.0
+    return means, deltas, omegas
 
 
 class _Recorder:
     """One trial's output time, checkpoint series and output iterate."""
 
-    def __init__(self, config: FedRunConfig, norm_kind: str):
+    def __init__(self, config: FedRunConfig):
         big_t = config.horizon
-        self.k = config.sync_period
-        self.norm_kind = norm_kind
         # pre-sampled from its own stream, so it does not depend on the checkpoints
         self.t_hat = sample_output_index(config.master_seed, config.output_c, big_t)
         stride = config.checkpoint_stride or max(1, big_t // 500)
         self.schedule = set(range(0, big_t + 1, stride)) | {big_t}
-        # the steps at which the engine reads the agents, ascending: 0 first, T last
-        self.points = sorted(self.schedule | {self.t_hat})
-        self.series: dict[int, tuple[np.ndarray, float, float]] = {}
+        self.series: list[tuple[int, np.ndarray, float, float]] = []  # (t, mean, Delta, Omega)
         self.output_theta: np.ndarray | None = None
-
-    def record(self, t: int, mat: np.ndarray) -> None:
-        """Keep the mean of the agent rows `mat` at the point t: a checkpoint, t_hat or both."""
-        mean = np.add.reduce(mat, 0) / len(mat)  # bit for bit mat.mean(axis=0)
-        if t in self.schedule:
-            delta, omega = sync_errors(mat, self.norm_kind)
-            self.series[t] = (mean, delta, omega)
-        if t == self.t_hat:
-            self.output_theta = mean.copy()
 
     def trace(self, thetas: np.ndarray) -> RunTrace:
         """The trial's RunTrace; `thetas` are its agent rows at the horizon."""
-        series = self.series
-        ts = np.array(sorted(series), dtype=np.int64)
+        ts, means, deltas, omegas = zip(*self.series)  # recorded in ascending t
         return RunTrace(
-            checkpoint_ts=ts,
-            theta_bar_series=np.stack([series[t][0] for t in ts]),
-            delta_series=np.array([series[t][1] for t in ts]),
-            omega_series=np.array([series[t][2] for t in ts]),
+            checkpoint_ts=np.array(ts, dtype=np.int64),
+            theta_bar_series=np.stack(means),
+            delta_series=np.array(deltas),
+            omega_series=np.array(omegas),
             output_index=self.t_hat,
             output_theta=self.output_theta,
             final_theta_bar=thetas.mean(axis=0),
         )
-
-
-def _start(problem: FedSamProblem, configs: list[FedRunConfig]) -> tuple[np.ndarray, list]:
-    """Every trial's agent rows, stacked trial by trial, and their noise processes."""
-    theta0 = problem.initial_theta
-    if theta0 is None:
-        theta0 = np.zeros(problem.dim)
-    n_agents = problem.n_agents
-    noises = [problem.make_noise(i, stream(config.master_seed, TAG_NOISE, i))
-              for config in configs for i in range(n_agents)]
-    return np.tile(theta0, (len(configs) * n_agents, 1)), noises
 
 
 def run_fedsam(problem: FedSamProblem, config: FedRunConfig) -> RunTrace:
@@ -344,43 +323,56 @@ def _agent_blocks(problem: FedSamProblem, thetas: np.ndarray, noises: list) -> C
 def _run(problem: FedSamProblem, configs: list[FedRunConfig], lockstep: bool) -> list:
     """The trials of a batch, every agent row advanced between the same block ends.
 
-    Rows [b n, (b + 1) n) of `thetas` are the agents of trial b. A block ends
-    at the next step where some live trial syncs or records (a checkpoint or
-    its t_hat), so the engine reads the agents at block ends only. The
-    advancer, `run(thetas, t, t_stop, alpha)`, steps every row from t to
+    Trial b's agents are `stack[b]`, rows [b n, (b + 1) n) of `thetas`. A
+    block ends at the next step where some live trial syncs or records (a
+    checkpoint or its t_hat); there one pass syncs them all and one records.
+    The advancer, `run(thetas, t, t_stop, alpha)`, steps every row from t to
     t_stop and returns the (step, row) of each row's first failing step; a
     trial fails with its earliest step and, at that step, its lowest agent, as
     it does alone. Its rows stay in place but take no further barrier or
     record, and the batch ends once every trial has failed.
     """
-    n, big_t = problem.n_agents, configs[0].horizon
+    n, big_t, norm_kind = problem.n_agents, configs[0].horizon, problem.norm_kind
     alpha_eff = configs[0].step_size * problem.step_scale
-    trials = [_Recorder(config, problem.norm_kind) for config in configs]
+    trials = [_Recorder(config) for config in configs]
     outcomes: list = [None] * len(configs)  # None while the trial is live
-    thetas, noises = _start(problem, configs)
+    theta0 = np.zeros(problem.dim) if problem.initial_theta is None else problem.initial_theta
+    thetas = np.tile(theta0, (len(configs) * n, 1))
+    stack = thetas.reshape(len(configs), n, -1)  # a view
+    noises = [problem.make_noise(i, stream(config.master_seed, TAG_NOISE, i))
+              for config in configs for i in range(n)]
     if lockstep:
-        run = problem.lockstep(noises, big_t).run
+        rows = problem.lockstep(noises, big_t)
+        run, synced = rows.run, rows.synced
+        synced(slice(None), stack[:, 0])  # every trial's agents start at theta0
     else:
-        run = _agent_blocks(problem, thetas, noises)
-    mats = list(thetas.reshape(len(configs), n, -1))  # views: each trial's agent rows
+        run, synced = _agent_blocks(problem, thetas, noises), None
     # per step, bit masks of the trials that sync and that record: no container per step
     sync_at, read_at, ends = [0] * (big_t + 1), [0] * (big_t + 1), set()
-    for b, trial in enumerate(trials):
-        syncs, reads = range(trial.k, big_t + 1, trial.k), trial.points[1:]
+    for b, (config, trial) in enumerate(zip(configs, trials)):
+        k = config.sync_period
+        syncs, reads = range(k, big_t + 1, k), (trial.schedule | {trial.t_hat}) - {0}
         for t in syncs:
             sync_at[t] |= 1 << b
         for t in reads:
             read_at[t] |= 1 << b
         ends.update(syncs, reads)
-    members = _Members()
+    selections = _Selections()
     live = (1 << len(trials)) - 1  # the trials not failed yet
 
-    col_sum = np.add.reduce  # col_sum(m, 0) / len(m) is m.mean(axis=0), bit for bit
+    def record(t: int, mask: int) -> None:  # at a checkpoint, t_hat or both
+        members, selected = selections[mask]
+        means, deltas, omegas = checkpoint_stats(stack, selected, norm_kind)
+        for b, mean, delta, omega in zip(members, means, deltas.tolist(), omegas.tolist()):
+            if t in trials[b].schedule:
+                trials[b].series.append((t, mean, delta, omega))
+            if t == trials[b].t_hat:
+                trials[b].output_theta = mean.copy()
+
     t = 0
     # blow-ups become the diverged marker; entered once, not once per block
     with np.errstate(over="ignore", invalid="ignore"):
-        for b, trial in enumerate(trials):
-            trial.record(0, mats[b])
+        record(0, live)
         for t_stop in sorted(ends):
             syncing, recording = sync_at[t_stop] & live, read_at[t_stop] & live
             if not (syncing or recording):
@@ -396,19 +388,24 @@ def _run(problem: FedSamProblem, configs: list[FedRunConfig], lockstep: bool) ->
                 if not live:
                     return outcomes
                 syncing, recording = syncing & live, recording & live
-            for b in members[syncing]:  # the in-place sync barrier
-                mat = mats[b]
-                mat[:] = col_sum(mat, 0) / n
-            for b in members[recording]:
-                trials[b].record(t, mats[b])
-    return [trial.trace(mats[b]) if outcomes[b] is None else outcomes[b]
+            if syncing:  # the in-place sync barrier
+                selected = selections[syncing][1]
+                means = np.add.reduce(stack[selected], 1) / n  # bit for bit .mean(axis=1)
+                stack[selected] = means[:, None]
+                if synced is not None:
+                    synced(selected, means)
+            if recording:
+                record(t, recording)
+    return [trial.trace(stack[b]) if outcomes[b] is None else outcomes[b]
             for b, trial in enumerate(trials)]
 
 
-class _Members(dict):
-    """Bit mask -> the trials whose bits it sets, ascending; filled on first use."""
+class _Selections(dict):
+    """Bit mask -> the trials whose bits it sets, ascending, and their selection
+    from a stack: a slice if they are adjacent, else an index array."""
 
-    def __missing__(self, mask: int) -> list[int]:
-        self[mask] = trials = [b for b in range(mask.bit_length()) if mask >> b & 1]
-        return trials
-
+    def __missing__(self, mask: int) -> tuple:
+        members = [b for b in range(mask.bit_length()) if mask >> b & 1]
+        lo, hi = members[0], members[-1] + 1
+        self[mask] = out = members, slice(lo, hi) if hi - lo == len(members) else np.array(members)
+        return out

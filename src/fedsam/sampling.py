@@ -8,6 +8,7 @@ trajectories are reproducible and independent of worker scheduling.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -26,6 +27,14 @@ def stream(master_seed: int, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def start_table(xi: np.ndarray, n_states: int) -> array:
+    """The `cdf_table` that draws S_0 ~ xi, a checked distribution over n_states states."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (n_states,) or np.any(xi < 0) or abs(xi.sum() - 1.0) > 1e-12:
+        raise ValueError("xi must be a probability distribution over states")
+    return cdf_table(xi)
+
+
 class AgentChain:
     """One agent's Markov trajectory, read as a sliding window of n transitions.
 
@@ -35,14 +44,14 @@ class AgentChain:
     arithmetic, and `step` (the noise process) and `steps` are built on it.
     A transition draws two uniforms from `rng`, the action's, then the next
     state's, each inverted with `bisect_right` against a row of the pinned
-    tables that the MDP and the policy build once and share.
+    tables that the MDP and the policy build once and share; so is xi's
+    `start_table`, when a caller passes it as `xi_cdf` (and None as xi).
     """
 
-    def __init__(self, mdp: Mdp, behavior: Policy, xi: np.ndarray, n: int,
-                 rng: np.random.Generator, agent_id: int = 0):
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (mdp.n_states,) or np.any(xi < 0) or abs(xi.sum() - 1.0) > 1e-12:
-            raise ValueError("xi must be a probability distribution over states")
+    def __init__(self, mdp: Mdp, behavior: Policy, xi: np.ndarray | None, n: int,
+                 rng: np.random.Generator, agent_id: int = 0, *, xi_cdf=None):
+        if xi_cdf is None:
+            xi_cdf = start_table(xi, mdp.n_states)
         if behavior.probs.shape != (mdp.n_states, mdp.n_actions):
             raise ValueError("behavior policy shape does not match the MDP")
         self.agent_id = agent_id
@@ -52,7 +61,7 @@ class AgentChain:
         self.n_actions = mdp.n_actions
         self.policy_cdf = behavior.cdf
         self.trans_cdf = mdp.transition_cdf
-        self.states: tuple[int, ...] = (bisect_right(cdf_table(xi), rng.random()),)
+        self.states: tuple[int, ...] = (bisect_right(xi_cdf, rng.random()),)
         self.actions: tuple[int, ...] = ()
         self.walk(n)  # until it holds n transitions, the window grows
 

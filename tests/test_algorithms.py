@@ -427,6 +427,22 @@ class TestBuiltProblems:
             assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
         assert runs[0].output_index == runs[1].output_index
 
+    def test_chains_share_one_start_table(self):
+        base = generate_instance(Q_LEARNING, ACCEPT, seed=5)
+        xi = np.arange(1.0, base.mdp.n_states + 1)
+        inst = AlgorithmInstance(kind=Q_LEARNING, mdp=base.mdp, target=base.target,
+                                 behaviors=base.behaviors, xi=xi / xi.sum())
+        problem = build_problem(inst)
+        for i in range(inst.n_agents):
+            for seed in range(40):  # the same S_0 and windows as a chain that checks xi itself
+                got = problem.make_noise(i, stream(seed, 1, i))
+                want = AgentChain(inst.mdp, inst.behaviors[i], inst.xi, 1, stream(seed, 1, i), i)
+                assert (got.states, got.actions) == (want.states, want.actions)
+        assert "xi_cdf" in problem.__dict__ and "xi_cdf" not in problem.__getstate__()
+        with pytest.raises(ValueError, match="xi"):
+            build_problem(AlgorithmInstance(kind=Q_LEARNING, mdp=base.mdp, target=base.target,
+                                            behaviors=base.behaviors, xi=xi))
+
 
 class TestNoiseTerms:
     """The tabular noise terms, taken per step from O(S A) rows, equal the
@@ -671,6 +687,33 @@ class TestLfaLipschitzClosedForm:
             tc = theory_constants(inst)
             assert tc.a1 == self.pairwise_norm_max(inst)
             assert tc.a2 == tc.a1
+
+
+class TestLfaNoiseBound:
+    """B's worst temporal difference, taken in one (S, A, S) broadcast, equals
+    the per-(s, a) loop it replaced, bit for bit."""
+
+    @staticmethod
+    def loop_b_bound(inst) -> float:
+        mdp, phi, n = inst.mdp, inst.features.phi, inst.n_step
+        values = phi @ inst.fixed_point
+        td_max = 0.0
+        for s in range(mdp.n_states):
+            for a in range(mdp.n_actions):
+                worst_next = float(np.abs(mdp.reward[s, a] + mdp.gamma * values - values[s]).max())
+                td_max = max(td_max, worst_next)
+        span = (1.0 - mdp.gamma**n) / (1.0 - mdp.gamma)
+        return float(np.linalg.norm(phi, axis=1).max()) * span * td_max / float(inst.beta)
+
+    @pytest.mark.parametrize("n_states,n_actions,d,n_step,gamma", [
+        (3, 1, 1, 1, 0.5), (5, 2, 2, 2, 0.9), (7, 3, 3, 1, 0.99), (40, 2, 4, 3, 0.8),
+    ])
+    def test_bit_equal_to_the_loop(self, n_states, n_actions, d, n_step, gamma):
+        for seed in range(4):
+            params = GeneratorParams(n_states=n_states, n_actions=n_actions, d=d, n_step=n_step,
+                                     gamma=gamma)
+            inst = generate_instance(ON_POLICY_TD_LFA, params, seed=seed)
+            assert theory_constants(inst).b_bound == self.loop_b_bound(inst)
 
 
 class TestSingleNodeRunner:

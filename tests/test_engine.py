@@ -13,6 +13,7 @@ from fedsam.algorithms import OFF_POLICY_TD_TABULAR, ON_POLICY_TD_LFA, Q_LEARNIN
 from fedsam.engine import (
     FedRunConfig,
     FedSamProblem,
+    checkpoint_stats,
     norm,
     output_time_distribution,
     row_norms,
@@ -367,6 +368,32 @@ class TestRowNormBits:
                 dists = np.array([norm(mat.mean(axis=0) - row, kind) for row in mat])
                 want = (float(dists.mean()), float((dists**2).mean()))
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["sup", "l2"]))
+    def test_checkpoint_stats_equal_each_trial_alone(self, data, kind):
+        trials, n, dim = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 9), st.integers(1, 12)))
+        values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e300, -1e308, 5e-324]) | st.floats(-1e6, 1e6)
+        stack = data.draw(hnp.arrays(np.float64, (trials, n, dim), elements=values))
+        for b in data.draw(st.sets(st.integers(0, trials - 1))):
+            stack[b] = stack[b, 0]  # bit-identical rows, as right after a barrier
+        lo = data.draw(st.integers(0, trials - 1))
+        hi = data.draw(st.integers(lo + 1, trials))
+        picked = sorted(data.draw(st.sets(st.integers(0, trials - 1), min_size=1)))
+        for selection, members in ((slice(lo, hi), range(lo, hi)), (np.array(picked), picked)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                means, deltas, omegas = checkpoint_stats(stack, selection, kind)
+                for i, b in enumerate(members):
+                    mat = stack[b]
+                    assert means[i].tobytes() == (np.add.reduce(mat, 0) / n).tobytes()
+                    got = np.array([deltas[i], omegas[i]])
+                    assert got.tobytes() == np.array(sync_errors(mat, kind)).tobytes()
+                    if (mat == mat[0]).all():
+                        assert got.tobytes() == np.zeros(2).tobytes()
+                    else:
+                        dists = np.array([norm(mat.mean(axis=0) - row, kind) for row in mat])
+                        want = np.array([dists.mean(), (dists**2).mean()])
+                        assert got.tobytes() == want.tobytes()
 
 
 class TestProblemRegistration:

@@ -78,6 +78,28 @@ class RowCounter:
         problem.lockstep = counted
 
 
+class SyncSpy:
+    """Wraps a problem's `lockstep`: whether each barrier's trials came as an
+    index array (not adjacent) or as a slice."""
+
+    def __init__(self, problem: FedSamProblem):
+        self.by_index: list[bool] = []
+        lockstep = problem.lockstep
+
+        def spied(chains, horizon):
+            rows = lockstep(chains, horizon)
+            synced = rows.synced
+
+            def spied_synced(trials, means):
+                self.by_index.append(isinstance(trials, np.ndarray))
+                return synced(trials, means)
+
+            rows.synced = spied_synced
+            return rows
+
+        problem.lockstep = spied
+
+
 class TestBatchEqualsTrialsAlone:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -120,6 +142,22 @@ class TestBatchEqualsTrialsAlone:
         assert bool(counter.rows_per_step) == in_lockstep
         if in_lockstep and not any(isinstance(o, DivergenceError) for o in got):
             assert counter.rows_per_step == [len(configs) * n_agents] * horizon
+
+    @pytest.mark.parametrize("stride", [None, 5])
+    def test_trials_that_sync_apart_equal_the_trials_alone(self, stride):
+        # K = 1, 3, 4: at t = 4 the K = 3 trials sit between the syncing ones
+        params = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.6, n_agents=3)
+        inst = generate_instance(Q_LEARNING, params, 5)
+        configs = [FedRunConfig(3, k, 0.3, 60, 0.9, 500 + 10 * k + r, checkpoint_stride=stride)
+                   for k in (1, 3, 4) for r in range(2)]
+        assert len(configs) * 3 >= LIMIT
+        problem = build_problem(inst)
+        spy = SyncSpy(problem)
+        got = run_batch(problem, configs)
+        want = run_alone(scalar_problem(inst), configs)
+        assert not any(isinstance(o, DivergenceError) for o in want)
+        assert [outcome_key(o) for o in got] == [outcome_key(o) for o in want]
+        assert True in spy.by_index and False in spy.by_index
 
     def test_examples_cover_t_hat_inside_a_block(self):
         # the second example above: some trial's output time falls strictly inside a block
@@ -230,6 +268,31 @@ class TestLockstepGuard:
                 after_a_barrier += sum(isinstance(o, DivergenceError) and o.step == k for o in got)
         assert after_a_barrier
 
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_a_barrier_overflow_in_trials_apart_is_seen_at_the_next_block_start(self, k):
+        # as above, with a K = 3 trial between two K = k trials: at t = k the
+        # barrier rewrites trials 0 and 2 only, an index selection
+        params = GeneratorParams(n_states=2, n_actions=1, branching=2, gamma=0.8, n_agents=5)
+        inst = generate_instance(Q_LEARNING, params, seed=1)
+        lockstep, generic = build_problem(inst), scalar_problem(inst, generic=True)
+        lockstep.lockstep_min_rows = 1
+        spy = SyncSpy(lockstep)
+        after_a_barrier = 0
+        for entry in range(inst.dim):
+            theta = np.ones(inst.dim)
+            theta[entry] = 0.9 * lockstep.finite_bound
+            for problem in (lockstep, generic):
+                problem.initial_theta = theta
+            for alpha in (0.01, 0.1, 0.5):
+                configs = [FedRunConfig(5, period, alpha, 32, 0.9, r, checkpoint_stride=32)
+                           for r, period in enumerate((k, 3, k))]
+                got, want = run_batch(lockstep, configs), run_alone(generic, configs)
+                assert [outcome_key(o) for o in got] == [outcome_key(o) for o in want]
+                after_a_barrier += sum(isinstance(o, DivergenceError) and o.step == k
+                                       for o in got[::2])
+        assert after_a_barrier
+        assert True in spy.by_index
+
 
 class TestDivergenceInsideABatch:
     # found by search: at alpha 6 and T = 1113 the K = 1 trials stay finite and
@@ -284,3 +347,21 @@ class TestDivergenceInsideABatch:
         # the block that holds the last failing step ends at the next checkpoint
         # (a stride of 2 at T = 1113), and no row steps past it
         assert counter.rows_per_step == [18] * 1106
+
+    def test_live_trials_apart_equal_the_trials_alone(self):
+        # the K = 64 trials between two groups of K = 1 trials fail near the
+        # end; the live trials after them are no longer adjacent
+        spec = ExperimentSpec(**self.SPEC)
+        inst = generate_instance(Q_LEARNING, spec.params, spec.master_seed)
+        problem = build_problem(inst)
+        spy = SyncSpy(problem)
+        cells = [Cell(3, 1, 6.0, 1113), Cell(3, 64, 6.0, 1113), Cell(3, 1, 6.0, 1113)]
+        trials = run_trials(problem, theory_constants(inst), cells, range(3), 3)
+        fields = ("status", "diverged_step", "diverged_agent", "t_hat", "mse", "final_sq_error",
+                  "checkpoint_ts", "error_series", "omega_series")
+        got = [[getattr(t, f) for f in fields] for t in trials]
+        want = [[getattr(run_trial(inst, cell, rep, spec.master_seed), f) for f in fields]
+                for cell in cells for rep in range(3)]
+        assert repr(got) == repr(want)
+        assert [t.status for t in trials] == ["ok"] * 3 + ["diverged"] * 3 + ["ok"] * 3
+        assert True in spy.by_index
