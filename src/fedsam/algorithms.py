@@ -24,19 +24,17 @@ from .mdp import (
     Mdp,
     PickledWithoutCaches,
     Policy,
-    certified_stationary,
-    eigen_moduli,
     importance_ratio,
     importance_ratio_max,
     importance_ratio_table,
     policy_transition_matrix,
     projected_fixed_point_oracle,
     q_star_oracle,
-    stationary_distribution,
+    solve_chain,
     value_function_oracle,
 )
 from .errors import DivergenceError, ErgodicityError
-from .sampling import AgentChain, ChainRows, MixingEstimate, mixing_diagnostics, policy_rows, start_table
+from .sampling import AgentChain, ChainRows, policy_rows, start_table
 
 ON_POLICY_TD_LFA = "on_policy_td_lfa"
 OFF_POLICY_TD_TABULAR = "off_policy_td_tabular"
@@ -122,10 +120,9 @@ class AlgorithmInstance:
 
     Derived fields (fixed point, per-agent stationary distributions and
     certified mixing bounds, beta) are computed once at construction; treat
-    instances as immutable afterwards. The exact mixing estimates are solved
-    when `agent_mixing` or `mixing` is first read. The fixed point and beta
-    depend on (mdp, target) only, so `harness.sub_instance` restricts an
-    instance by slicing.
+    instances as immutable afterwards. The fixed point and beta depend on
+    (mdp, target) only, so `harness.sub_instance` restricts an instance by
+    slicing.
     """
 
     kind: str
@@ -140,10 +137,6 @@ class AlgorithmInstance:
     stationary: list[np.ndarray] = field(init=False)
     rho_bounds: list[float] = field(init=False)
     p_target: np.ndarray = field(init=False)
-    # exact estimates by behavior bytes, filled on demand; shared by sub-instances
-    _exact_mixing: dict[bytes, MixingEstimate] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -189,49 +182,12 @@ class AlgorithmInstance:
             self.beta = select_beta(self.expected_update_matrix())
 
     def _solve_chain(self, behavior: Policy) -> tuple[np.ndarray, float]:
-        """Stationary distribution of one behavior's chain and a bound on its rho.
-
-        The squaring certificate (`mdp.certified_stationary`) accepts almost
-        every ergodic chain without a spectrum. Any other chain is judged from
-        its eigenvalues, as `stationary_distribution` judges it; if it passes,
-        its second eigenvalue modulus is its bound.
-        """
-        p_b = policy_transition_matrix(self.mdp, behavior)
-        certified = certified_stationary(p_b)
-        if certified is not None:
-            mu, bound = certified
-        else:
-            moduli = eigen_moduli(p_b)
-            mu, bound = stationary_distribution(p_b, moduli), float(moduli[1])
+        """`mdp.solve_chain` on one behavior's chain; Q-learning's noise also
+        needs mass on every (s, a) pair."""
+        mu, bound = solve_chain(policy_transition_matrix(self.mdp, behavior))
         if self.kind == Q_LEARNING and np.any(mu[:, None] * behavior.probs <= 1e-12):
             raise ErgodicityError("stationary distribution has (near-)zero mass (s, a) pairs")
         return mu, bound
-
-    @property
-    def agent_mixing(self) -> list[MixingEstimate]:
-        """Exact mixing estimate per agent; each distinct behavior is solved on
-        first read, from P_b rebuilt for it rather than kept from construction.
-
-        Q-learning's noise lives on (s, a) pairs, with kernel K = A B, where
-        A[(s,a), s'] = P(s'|s,a) and B[s', (s',a')] = pi(a'|s'). By Sylvester
-        its nonzero eigenvalues are those of B A = P_b, and the total variation
-        from its row (s, a) to its stationary law mu(s') pi(a'|s') is that of
-        P(.|s,a) from mu; so no (S A)^2 matrix is formed.
-        """
-        cache = self._exact_mixing
-        rows = self.mdp.transition.reshape(-1, self.mdp.n_states) if self.kind == Q_LEARNING else None
-        for b, mu in zip(self.behaviors, self.stationary):
-            key = b.probs.tobytes()
-            if key not in cache:
-                p_b = policy_transition_matrix(self.mdp, b)
-                cache[key] = mixing_diagnostics(p_b, mu=mu, moduli=eigen_moduli(p_b), rows=rows)
-        return [cache[b.probs.tobytes()] for b in self.behaviors]
-
-    @property
-    def mixing(self) -> MixingEstimate:
-        """Worst case over agents: the largest rho and the largest m_bar."""
-        agent_mixing = self.agent_mixing
-        return MixingEstimate(max(m.rho for m in agent_mixing), max(m.m_bar for m in agent_mixing))
 
     @property
     def n_agents(self) -> int:

@@ -31,6 +31,7 @@ from .mdp import (
     projected_fixed_point_oracle,
     projected_fixed_point_residual,
     q_star_oracle,
+    read_json,
     value_function_oracle,
 )
 
@@ -143,7 +144,7 @@ def _fmt_array(arr: np.ndarray) -> str:
 
 
 def cmd_oracle(args) -> int:
-    mdp = Mdp.from_json(Path(args.mdp).read_text())
+    mdp = Mdp.read(args.mdp)
     out: dict = {"kind": args.kind}
     if args.kind == "qstar":
         table = q_star_oracle(mdp)
@@ -154,8 +155,7 @@ def cmd_oracle(args) -> int:
     else:
         if args.policies is None:
             raise UsageError(f"oracle kind {args.kind!r} needs --policies")
-        policies = json.loads(Path(args.policies).read_text())
-        policy = Policy(np.array(policies["target"], dtype=float))
+        policy = Policy(np.array(read_json(args.policies, "target")[0], dtype=float))
         if args.kind == "value":
             table = value_function_oracle(mdp, policy)
             resid = bellman_residual(mdp, policy, table)
@@ -165,9 +165,7 @@ def cmd_oracle(args) -> int:
         else:  # projected
             if args.features is None:
                 raise UsageError("oracle kind 'projected' needs --features")
-            feats = FeatureMatrix(
-                np.array(json.loads(Path(args.features).read_text())["phi"], dtype=float)
-            )
+            feats = FeatureMatrix(np.array(read_json(args.features, "phi")[0], dtype=float))
             table = projected_fixed_point_oracle(mdp, policy, feats, args.n)
             resid = projected_fixed_point_residual(mdp, policy, feats, args.n, table)
             print("projected fixed-point weights:")

@@ -34,8 +34,8 @@ from .algorithms import (
 )
 from .engine import FedRunConfig, FedSamProblem, row_norms, run_batch
 from .errors import DivergenceError, GenerationError
-from .mdp import FeatureMatrix, Mdp, Policy
-from .sampling import stream, tau_alpha
+from .mdp import FeatureMatrix, Mdp, Policy, policy_transition_matrix, read_json
+from .sampling import mixing_diagnostics, stream, tau_alpha
 
 TAG_GEN = 10
 TAG_TRIAL = 11
@@ -160,21 +160,18 @@ def instance_from_files(
     n_step: int = 1,
 ) -> AlgorithmInstance:
     """Rebuild an instance from the files written by the CLI generator."""
-    mdp = Mdp.from_json(Path(mdp_path).read_text())
-    pol = json.loads(Path(policies_path).read_text())
-    target = Policy(np.array(pol["target"], dtype=float))
-    behaviors = [Policy(np.array(p, dtype=float)) for p in pol["behaviors"]]
+    mdp = Mdp.read(mdp_path)
+    target, behaviors = read_json(policies_path, "target", "behaviors")
     features = None
     if kind == ON_POLICY_TD_LFA:
         if features_path is None:
             raise ValueError("linear-FA instances need a features file")
-        feat = json.loads(Path(features_path).read_text())
-        features = FeatureMatrix(np.array(feat["phi"], dtype=float))
+        features = FeatureMatrix(np.array(read_json(features_path, "phi")[0], dtype=float))
     return AlgorithmInstance(
         kind=kind,
         mdp=mdp,
-        target=target,
-        behaviors=behaviors,
+        target=Policy(np.array(target, dtype=float)),
+        behaviors=[Policy(np.array(p, dtype=float)) for p in behaviors],
         n_step=1 if kind == Q_LEARNING else n_step,
         features=features,
     )
@@ -233,6 +230,8 @@ class ExperimentSpec:
             _check_ints("sync_periods", self.sync_periods)
         if max(self.n_agents_grid) > self.params.n_agents and self.mdp_path is None:
             raise ValueError("params.n_agents must cover the largest grid N")
+        if self.mdp_path is not None and self.policies_path is None:
+            raise ValueError("mdp_path needs a policies_path")
         self.params.validate()
 
     def cells(self) -> list[Cell]:
@@ -281,8 +280,7 @@ def sub_instance(instance: AlgorithmInstance, n_agents: int) -> AlgorithmInstanc
     """Restriction to the first n_agents behavior policies, by slicing the per-agent fields.
 
     The fixed point and beta depend on (mdp, target) only, so nothing is solved
-    again; the exact mixing estimates stay unsolved until read, and those
-    solved are shared.
+    again.
     """
     if not 1 <= n_agents <= instance.n_agents:
         raise ValueError(f"instance provides {instance.n_agents} agents, needed {n_agents}")
@@ -464,9 +462,6 @@ class SweepResult:
     slopes: list[dict]
     constants: TheoryConstants
 
-    def stats_for(self, **match) -> list[CellStats]:
-        return [st for st in self.cell_stats if all(getattr(st, k) == v for k, v in match.items())]
-
 
 _SweepSetup = dict[int, tuple[AlgorithmInstance, FedSamProblem, TheoryConstants]]
 
@@ -561,9 +556,12 @@ def _warn_short_horizons(spec: ExperimentSpec, instance: AlgorithmInstance) -> N
 
     tau_alpha does not decrease with rho, so a cell long enough at the
     largest certified bound on rho is long enough at the exact rho; the exact
-    estimate is solved only when some cell is not.
+    rho, the largest `mixing_diagnostics` rho over the distinct behaviors, is
+    solved once, and only when some cell is not. For Q-learning, P_b has the
+    nonzero spectrum of the (s, a) chain's kernel (Sylvester), so its rho is
+    that chain's.
     """
-    rho_bound = max(instance.rho_bounds)
+    rho_bound, rho = max(instance.rho_bounds), None
     for cell in spec.cells():
         alpha_eff = cell.alpha * (instance.beta or 1.0)
         if not 0 < alpha_eff < 1:
@@ -574,7 +572,10 @@ def _warn_short_horizons(spec: ExperimentSpec, instance: AlgorithmInstance) -> N
         )
         if cell.horizon > config.horizon_need(tau_alpha(rho_bound, alpha_eff)):
             continue
-        config.warn_if_short_horizon(instance.mixing.tau_alpha(alpha_eff))
+        if rho is None:
+            distinct = {b.probs.tobytes(): b for b in instance.behaviors}.values()
+            rho = max(mixing_diagnostics(policy_transition_matrix(instance.mdp, b)).rho for b in distinct)
+        config.warn_if_short_horizon(tau_alpha(rho, alpha_eff))
 
 
 def _aggregate(cells: list[Cell], trials: list[TrialResult], reps: int) -> list[CellStats]:
@@ -665,12 +666,6 @@ def spearman_trend(xs: list[float], ys: list[float]) -> tuple[float, float]:
         return 0.0, 0.0
     rho = float(xc @ yc) / denom
     return rho, rho * math.sqrt(len(x) - 1.0)
-
-
-def k_curve(result: SweepResult, n_agents: int, alpha: float) -> list[CellStats]:
-    """Per-K statistics at fixed (N, alpha), sorted by K."""
-    rows = result.stats_for(n_agents=n_agents, alpha=alpha)
-    return sorted(rows, key=lambda r: r.sync_period)
 
 
 def k_trend_z(result: SweepResult, n_agents: int, alpha: float) -> tuple[float, float]:

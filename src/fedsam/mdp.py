@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +52,18 @@ class PickledWithoutCaches:
         cls = type(self)
         return {key: value for key, value in self.__dict__.items()
                 if not isinstance(getattr(cls, key, None), cached_property)}
+
+
+def read_json(path, *keys: str) -> list:
+    """The values of `keys` in the JSON object in the file at `path`, in order.
+
+    A key the file lacks is a ValueError that names the file and the key.
+    """
+    data = json.loads(Path(path).read_text())
+    for key in keys:
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return [data[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -97,15 +110,9 @@ class Mdp(PickledWithoutCaches):
         return json.dumps(payload, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "Mdp":
-        data = json.loads(text)
-        return cls(
-            n_states=data["n_states"],
-            n_actions=data["n_actions"],
-            transition=np.array(data["transition"], dtype=float),
-            reward=np.array(data["reward"], dtype=float),
-            gamma=data["gamma"],
-        )
+    def read(cls, path) -> "Mdp":
+        """The MDP in a file that `to_json` wrote."""
+        return cls(*read_json(path, "n_states", "n_actions", "transition", "reward", "gamma"))
 
 
 @dataclass(frozen=True)
@@ -143,20 +150,19 @@ class FeatureMatrix:
     """Full-column-rank |S| x d feature table, one row per state."""
 
     phi: np.ndarray
-    d: int = field(default=-1)
 
     def __post_init__(self):
         object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
         if self.phi.ndim != 2:
             raise ValueError("feature table must be 2-dimensional")
-        d = self.phi.shape[1] if self.d == -1 else self.d
-        object.__setattr__(self, "d", d)
-        if d != self.phi.shape[1]:
-            raise ValueError("d does not match feature table width")
-        if d > self.phi.shape[0]:
+        if self.d > self.phi.shape[0]:
             raise ValueError("feature dimension d must not exceed the number of states")
-        if np.linalg.matrix_rank(self.phi, tol=RANK_TOL) < d:
+        if np.linalg.matrix_rank(self.phi, tol=RANK_TOL) < self.d:
             raise ValueError("feature table does not have full column rank")
+
+    @property
+    def d(self) -> int:
+        return self.phi.shape[1]
 
     @classmethod
     def identity(cls, n_states: int) -> "FeatureMatrix":
@@ -249,43 +255,35 @@ def mixing_bound(p_pi: np.ndarray, mu: np.ndarray) -> float | None:
     return best if best < 1.0 - ERGODIC_GAP else None
 
 
-def certified_stationary(p_pi: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """(mu, mixing_bound) for a chain that the squaring certificate accepts, else None.
+def solve_chain(p_pi: np.ndarray) -> tuple[np.ndarray, float]:
+    """Stationary distribution of an ergodic row-stochastic matrix and a bound on its rho.
 
-    mu comes from the same solve as `stationary_distribution`'s, so it has
-    the same bits. A failed solve or a (near-)zero mass also gives None: only
-    the spectrum then decides which error the chain gets.
+    mu is solved directly from (P^T - I) mu = 0 with the normalization row.
+    The squaring certificate (`mixing_bound`) accepts almost every ergodic
+    chain without a spectrum. Any other chain is judged from its
+    `eigen_moduli`, and its second eigenvalue modulus is then its bound: it is
+    rejected when that modulus is within 1e-12 of 1 (eigenvalue 1 repeated
+    means it is reducible, another one on the unit circle that it is
+    periodic), and otherwise when its solve failed.
     """
     p_pi = np.asarray(p_pi, dtype=float)
     _check_rows_stochastic(p_pi, "transition matrix")
     try:
         mu = _solve_stationary(p_pi)
     except ErgodicityError:
-        return None
-    bound = mixing_bound(p_pi, mu)
-    return None if bound is None else (mu, bound)
-
-
-def stationary_distribution(p_pi: np.ndarray, moduli: np.ndarray | None = None) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix.
-
-    Solved directly from (P^T - I) mu = 0 with the normalization row. The
-    chain is rejected when an eigenvalue besides the Perron root has modulus
-    within 1e-12 of 1: eigenvalue 1 repeated means it is reducible, another
-    one on the unit circle that it is periodic. A chain that
-    `certified_stationary` accepts needs no spectrum; any other is judged
-    from its `eigen_moduli`, which a caller that has them passes as `moduli`.
-    """
-    p_pi = np.asarray(p_pi, dtype=float)
-    _check_rows_stochastic(p_pi, "transition matrix")
-    if moduli is None:
-        certified = certified_stationary(p_pi)
-        if certified is not None:
-            return certified[0]
-        moduli = eigen_moduli(p_pi)
+        mu = None
+    bound = None if mu is None else mixing_bound(p_pi, mu)
+    if bound is not None:
+        return mu, bound
+    moduli = eigen_moduli(p_pi)
     if p_pi.shape[0] > 1 and moduli[1] >= 1.0 - ERGODIC_GAP:
         raise ErgodicityError(f"second eigenvalue modulus {moduli[1]:.12f}: chain reducible or periodic")
-    return _solve_stationary(p_pi)
+    return (_solve_stationary(p_pi) if mu is None else mu), float(moduli[1])
+
+
+def stationary_distribution(p_pi: np.ndarray) -> np.ndarray:
+    """Stationary distribution of an ergodic row-stochastic matrix (`solve_chain`'s mu)."""
+    return solve_chain(p_pi)[0]
 
 
 def value_function_oracle(mdp: Mdp, policy: Policy) -> np.ndarray:

@@ -197,25 +197,15 @@ def tau_alpha(rho: float, alpha: float) -> int:
     return int(math.ceil(2.0 * math.log(alpha) / math.log(rho)))
 
 
-def mixing_diagnostics(p_pi: np.ndarray, *, mu=None, moduli=None, rows=None) -> MixingEstimate:
-    """Spectral mixing estimate for a row-stochastic matrix.
-
-    A caller that has them passes the `eigen_moduli` of p_pi and the mu that
-    `stationary_distribution(p_pi, moduli)` returned (which also rejects
-    chains with rho near 1). `rows` replaces p_pi's rows in the
-    total-variation prefactor, for a chain with p_pi's nonzero spectrum whose
-    total variation at t=1 is that of `rows` from mu (the Q-learning (s, a)
-    chain, see `AlgorithmInstance`).
-    """
+def mixing_diagnostics(p_pi: np.ndarray) -> MixingEstimate:
+    """Spectral mixing estimate for an ergodic row-stochastic matrix, from its
+    `eigen_moduli`; `stationary_distribution` rejects chains with rho near 1."""
     p_pi = np.asarray(p_pi, dtype=float)
-    if moduli is None:
-        moduli = eigen_moduli(p_pi)
-    if mu is None:
-        mu = stationary_distribution(p_pi, moduli)
+    mu = stationary_distribution(p_pi)
+    moduli = eigen_moduli(p_pi)
     rho = float(moduli[1]) if len(moduli) > 1 else 0.0
     if rho < 1e-15:
         rho = 0.0
-    rows = p_pi if rows is None else rows
-    tv_at_1 = 0.5 * float(np.abs(rows - mu).sum(axis=1).max())
+    tv_at_1 = 0.5 * float(np.abs(p_pi - mu).sum(axis=1).max())
     m_bar = tv_at_1 / rho if rho > 0.0 else 0.0
     return MixingEstimate(rho=rho, m_bar=m_bar)

@@ -26,7 +26,7 @@ class TestGenMdp:
     def test_default_files_exist_and_reload(self, tmp_path):
         out = tmp_path / "env"
         assert run_cli("gen-mdp", "--out", str(out), "--seed", "3") == 0
-        mdp = Mdp.from_json((out / "mdp.json").read_text())
+        mdp = Mdp.read(out / "mdp.json")
         assert mdp.n_states == 5
         policies = json.loads((out / "policies.json").read_text())
         assert len(policies["behaviors"]) >= 1
@@ -234,6 +234,63 @@ class TestRunAndSweep:
         assert run_cli("sweep", "--out", str(tmp_path / "flag"), "--seed", "17") == 0
         meta = json.loads((tmp_path / "flag" / "sweep.meta.json").read_text())
         assert meta["spec"]["master_seed"] == 17
+
+
+class TestIncompleteEnvironmentFiles:
+    """An environment file or spec that lacks a key is a usage error: exit 2 and one `error:` line."""
+
+    @pytest.fixture()
+    def env_dir(self, tmp_path):
+        out = tmp_path / "env"
+        assert run_cli("gen-mdp", "--out", str(out), "--seed", "5") == 0
+        return out
+
+    @staticmethod
+    def drop_key(path: Path, key: str) -> None:
+        data = json.loads(path.read_text())
+        del data[key]
+        path.write_text(json.dumps(data))
+
+    @staticmethod
+    def assert_usage_error(code: int, err: str, *words: str) -> None:
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(word in err for word in words), err
+
+    def test_mdp_path_without_policies_path(self, env_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli("sweep", "--out", str(out), "--set", f"mdp_path={env_dir / 'mdp.json'}")
+        self.assert_usage_error(code, capsys.readouterr().err, "mdp_path", "policies_path")
+        assert not out.exists()
+
+    def test_policies_without_behaviors(self, env_dir, tmp_path, capsys):
+        self.drop_key(env_dir / "policies.json", "behaviors")
+        code = run_cli(
+            "sweep", "--out", str(tmp_path / "out"), "--set", f"mdp_path={env_dir / 'mdp.json'}",
+            "--set", f"policies_path={env_dir / 'policies.json'}",
+        )
+        self.assert_usage_error(code, capsys.readouterr().err, str(env_dir / "policies.json"), "'behaviors'")
+
+    @pytest.mark.parametrize("name, key, kind", [
+        ("mdp.json", "n_states", "qstar"),
+        ("mdp.json", "reward", "value"),
+        ("policies.json", "target", "value"),
+    ])
+    def test_oracle_file_without_a_key(self, env_dir, capsys, name, key, kind):
+        self.drop_key(env_dir / name, key)
+        code = run_cli(
+            "oracle", "--mdp", str(env_dir / "mdp.json"),
+            "--policies", str(env_dir / "policies.json"), "--kind", kind,
+        )
+        self.assert_usage_error(code, capsys.readouterr().err, str(env_dir / name), repr(key))
+
+    def test_a_file_that_is_not_an_object(self, env_dir, capsys):
+        (env_dir / "policies.json").write_text("[]")
+        code = run_cli(
+            "oracle", "--mdp", str(env_dir / "mdp.json"),
+            "--policies", str(env_dir / "policies.json"), "--kind", "value",
+        )
+        self.assert_usage_error(code, capsys.readouterr().err, str(env_dir / "policies.json"), "'target'")
 
 
 class TestValidate:

@@ -47,8 +47,8 @@ from fedsam.harness import (
     sweep,
     worker_count,
 )
-from fedsam.mdp import Mdp, Policy, eigen_moduli, policy_transition_matrix, stationary_distribution
-from fedsam.sampling import MixingEstimate, mixing_diagnostics, tau_alpha
+from fedsam.mdp import Mdp, Policy, _solve_stationary, eigen_moduli, policy_transition_matrix, stationary_distribution
+from fedsam.sampling import tau_alpha
 from fedsam.validation import iid_scalar_validation, iid_second_moment_exact
 
 SMALL = GeneratorParams(n_states=4, n_actions=2, branching=2, gamma=0.6, d=2, n_step=1, n_agents=4)
@@ -380,16 +380,6 @@ class TestTrendEstimators:
         rho, z = k_trend_z(result, 4, 0.4)
         assert -1.0 <= rho <= 1.0
 
-    def test_k_curve_sorted_by_sync_period(self):
-        from fedsam.harness import k_curve
-
-        spec = small_spec(
-            n_agents_grid=[4], sync_periods=[16, 1, 4], alpha_grid=[0.2], horizon=64, replications=2
-        )
-        result = sweep(spec)
-        curve = k_curve(result, 4, 0.2)
-        assert [st.sync_period for st in curve] == [1, 4, 16]
-
 
 class TestIidScalarValidation:
     def test_t_zero_is_exact(self):
@@ -618,30 +608,26 @@ class TestSubInstance:
         )
         assert sliced.behaviors == scratch.behaviors
         assert [mu.tobytes() for mu in sliced.stationary] == [mu.tobytes() for mu in scratch.stationary]
-        assert sliced.agent_mixing == scratch.agent_mixing
-        assert sliced.mixing == scratch.mixing
+        assert sliced.rho_bounds == scratch.rho_bounds
         assert sliced.fixed_point.tobytes() == scratch.fixed_point.tobytes()
         assert sliced.beta == scratch.beta
         assert theory_constants(sliced) == theory_constants(scratch)
         assert full.n_agents == SMALL.n_agents  # the full instance is left as it was
 
 
-def eager_mixing(instance) -> list[MixingEstimate]:
-    """Each agent's estimate as construction used to solve it: spectrum, stationary law, diagnostics."""
-    rows = None
-    if instance.kind == Q_LEARNING:
-        rows = instance.mdp.transition.reshape(-1, instance.mdp.n_states)
+def eager_chains(instance) -> list[tuple[np.ndarray, float]]:
+    """Each agent's stationary law and exact rho, solved from its chain's spectrum."""
     out = []
     for behavior in instance.behaviors:
         p_b = policy_transition_matrix(instance.mdp, behavior)
-        moduli = eigen_moduli(p_b)
-        mu = stationary_distribution(p_b, moduli)
-        out.append(mixing_diagnostics(p_b, mu=mu, moduli=moduli, rows=rows))
+        out.append((_solve_stationary(p_b), float(eigen_moduli(p_b)[1])))
     return out
 
 
-def bits(estimates) -> list[tuple[str, str]]:
-    return [(m.rho.hex(), m.m_bar.hex()) for m in estimates]
+def exact_rho(instance) -> float:
+    """The largest second eigenvalue modulus over the behavior chains, read as 0 below 1e-15."""
+    rho = max(rho for _, rho in eager_chains(instance))
+    return 0.0 if rho < 1e-15 else rho
 
 
 class TestMixingOnDemand:
@@ -650,14 +636,12 @@ class TestMixingOnDemand:
     def test_equals_eager_estimates_bit_for_bit(self, kind, sub_first):
         full = generate_instance(kind, SMALL, seed=6)
         sub = sub_instance(full, 2)
-        expected = eager_mixing(full)
-        worst = MixingEstimate(max(m.rho for m in expected), max(m.m_bar for m in expected))
-        if sub_first:
-            assert bits(sub.agent_mixing) == bits(expected[:2])
-        assert bits(full.agent_mixing) == bits(expected)
-        assert bits([full.mixing]) == bits([worst])
-        assert bits(sub.agent_mixing) == bits(expected[:2])
-        assert all(b >= m.rho for b, m in zip(full.rho_bounds, expected))
+        expected = eager_chains(full)
+        # nothing is solved on demand, so the order of the reads does not matter
+        for instance in (sub, full) if sub_first else (full, sub):
+            mus = [mu.tobytes() for mu, _ in expected[:instance.n_agents]]
+            assert [mu.tobytes() for mu in instance.stationary] == mus
+        assert all(b >= rho for b, (_, rho) in zip(full.rho_bounds, expected))
         assert sub.rho_bounds == full.rho_bounds[:2]
 
     def test_uncertified_chain_takes_its_bound_from_the_spectrum(self):
@@ -669,7 +653,7 @@ class TestMixingOnDemand:
         instance = AlgorithmInstance(kind=OFF_POLICY_TD_TABULAR, mdp=mdp, target=target,
                                      behaviors=[target])
         assert instance.rho_bounds == [float(eigen_moduli(chain)[1])]
-        assert bits(instance.agent_mixing) == bits(eager_mixing(instance))
+        assert instance.stationary[0].tobytes() == _solve_stationary(chain).tobytes()
 
     def test_sweep_solves_no_state_sized_spectrum(self, monkeypatch):
         real = np.linalg.eigvals
@@ -687,18 +671,19 @@ class TestMixingOnDemand:
             replications=1, master_seed=3,
         )
         sweep(spec)
-        instance = build_instance_for_spec(spec)
         assert (50, 50) not in shapes
-        instance.mixing
+        # K = 200 = T is short for every N: three short cells, one solve per distinct behavior
+        with pytest.warns(UserWarning, match="convergence guarantees may not apply") as record:
+            sweep(dataclasses.replace(spec, sync_periods=[8, 200]))
+        assert len(record) == 3
+        instance = build_instance_for_spec(spec)
         distinct = {b.probs.tobytes() for b in instance.behaviors}
         assert shapes.count((50, 50)) == len(distinct) == 16
-        instance.mixing  # solved once per behavior
-        sub_instance(instance, 4).agent_mixing
-        assert shapes.count((50, 50)) == 16
 
 
 def exact_rule_warnings(spec: ExperimentSpec, instance) -> list[str]:
     """The short-horizon warnings of the rule that reads the exact rho for every cell."""
+    rho = exact_rho(instance)
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         for cell in spec.cells():
@@ -708,7 +693,7 @@ def exact_rule_warnings(spec: ExperimentSpec, instance) -> list[str]:
             FedRunConfig(
                 n_agents=cell.n_agents, sync_period=cell.sync_period, step_size=cell.alpha,
                 horizon=cell.horizon, output_c=0.5, master_seed=0,
-            ).warn_if_short_horizon(instance.mixing.tau_alpha(alpha_eff))
+            ).warn_if_short_horizon(tau_alpha(rho, alpha_eff))
     return [str(w.message) for w in record]
 
 
@@ -735,7 +720,7 @@ class TestShortHorizonWarning:
             alpha_eff = alpha * (instance.beta or 1.0)
             if not 0 < alpha_eff < 1:
                 continue
-            taus = (tau_alpha(instance.mixing.rho, alpha_eff), tau_alpha(rho_bound, alpha_eff))
+            taus = (tau_alpha(exact_rho(instance), alpha_eff), tau_alpha(rho_bound, alpha_eff))
             needs = {max(k + tau, 2 * tau) + d for tau in taus for d in (-1, 0, 1)}
             for horizon in sorted(needs):
                 spec = ExperimentSpec(kind=instance.kind, n_agents_grid=[instance.n_agents],

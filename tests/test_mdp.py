@@ -12,18 +12,20 @@ from fedsam.mdp import (
     Mdp,
     Policy,
     bellman_optimality_operator,
+    _solve_stationary,
     bellman_residual,
-    certified_stationary,
     eigen_moduli,
     importance_ratio,
     importance_ratio_max,
     importance_ratio_table,
+    mixing_bound,
     optimality_residual,
     policy_transition_matrix,
     projected_fixed_point_oracle,
     projected_fixed_point_residual,
     q_star_oracle,
     reward_under_policy,
+    solve_chain,
     stationary_distribution,
     value_function_oracle,
 )
@@ -68,9 +70,10 @@ class TestMdpInvariants:
         with pytest.raises(ValueError, match="gamma"):
             Mdp(1, 1, trans, np.zeros((1, 1)), 1.0)
 
-    def test_json_round_trip_is_exact(self):
+    def test_json_round_trip_is_exact(self, tmp_path):
         mdp = random_mdp(4, 3, 0.7321, seed=0)
-        clone = Mdp.from_json(mdp.to_json())
+        (tmp_path / "mdp.json").write_text(mdp.to_json())
+        clone = Mdp.read(tmp_path / "mdp.json")
         assert np.array_equal(clone.transition, mdp.transition)
         assert np.array_equal(clone.reward, mdp.reward)
         assert clone.gamma == mdp.gamma
@@ -184,19 +187,24 @@ def ergodic_chains(draw) -> np.ndarray:
     return chain / chain.sum(axis=1, keepdims=True)
 
 
+def certificate(chain: np.ndarray) -> float | None:
+    """The squaring certificate's bound, or None when it or the solve does not accept the chain."""
+    try:
+        return mixing_bound(chain, _solve_stationary(chain))
+    except ErgodicityError:
+        return None
+
+
 class TestMixingCertificate:
-    """The squaring certificate only accepts; whatever it does not accept takes the eigenvalue path."""
+    """`solve_chain` takes the squaring certificate's bound; whatever it does not accept takes the eigenvalue path."""
 
     @settings(max_examples=200, deadline=None)
     @given(ergodic_chains())
     def test_bound_covers_second_eigenvalue_modulus(self, chain):
-        moduli = eigen_moduli(chain)
-        certified = certified_stationary(chain)
-        if certified is not None:
-            mu, bound = certified
-            assert moduli[1] <= bound < 1.0 - 1e-12
-            assert mu.tobytes() == stationary_distribution(chain, moduli).tobytes()
-        assert stationary_distribution(chain).tobytes() == stationary_distribution(chain, moduli).tobytes()
+        mu, bound = solve_chain(chain)
+        assert eigen_moduli(chain)[1] <= bound < 1.0 - 1e-12
+        assert mu.tobytes() == _solve_stationary(chain).tobytes()
+        assert stationary_distribution(chain).tobytes() == mu.tobytes()
 
     @pytest.mark.parametrize("chain", [
         np.array([[0.92938191, 0.07061809], [0.93839742, 0.06160258]]),  # rho 0.009
@@ -204,7 +212,8 @@ class TestMixingCertificate:
     ], ids=["rho_0.009", "rank_one"])
     def test_fast_mixing_chain_stops_before_its_powers_underflow(self, chain):
         chain = chain / chain.sum(axis=1, keepdims=True)
-        _, bound = certified_stationary(chain)
+        _, bound = solve_chain(chain)
+        assert bound == certificate(chain)
         assert eigen_moduli(chain)[1] <= bound < 0.01
 
     @pytest.mark.parametrize("n_states", [5, 50, 200])
@@ -212,7 +221,8 @@ class TestMixingCertificate:
         mdp = random_mdp(n_states, 2, 0.9, seed=n_states, branching=3)
         for seed in range(3):
             chain = policy_transition_matrix(mdp, random_policy(n_states, 2, seed))
-            _, bound = certified_stationary(chain)
+            _, bound = solve_chain(chain)
+            assert bound == certificate(chain)
             assert eigen_moduli(chain)[1] <= bound < 1.0 - 1e-12
 
     @pytest.mark.parametrize("chain,message", [
@@ -227,20 +237,21 @@ class TestMixingCertificate:
     ], ids=["two_cycle", "three_cycle", "identity", "two_blocks", "blocks_1e-14",
             "leak_1e-14", "leak_1e-10", "cycle_1e-14"])
     def test_rejected_chains_are_never_certified(self, chain, message):
-        assert certified_stationary(chain) is None
-        for moduli in (None, eigen_moduli(chain)):
+        assert certificate(chain) is None
+        for solve in (solve_chain, stationary_distribution):
             with pytest.raises(ErgodicityError) as err:
-                stationary_distribution(chain, moduli)
+                solve(chain)
             assert str(err.value) == message
 
     @pytest.mark.parametrize("chain", [_two_blocks(1e-10, 1e-10), _blend(THREE_CYCLE, 1e-10)],
                              ids=["blocks_1e-10", "cycle_1e-10"])
     def test_near_reducible_ergodic_chains_keep_their_verdict(self, chain):
         # rho = 1 - O(1e-10) passes the eigenvalue verdict; no power up to
-        # 2^8 certifies it, and the eigenvalue path gives the same bits
-        assert certified_stationary(chain) is None
-        expected = stationary_distribution(chain, eigen_moduli(chain))
-        assert stationary_distribution(chain).tobytes() == expected.tobytes()
+        # 2^8 certifies it, and the solve's mu is kept
+        assert certificate(chain) is None
+        mu, bound = solve_chain(chain)
+        assert mu.tobytes() == _solve_stationary(chain).tobytes()
+        assert bound == float(eigen_moduli(chain)[1]) < 1.0 - 1e-12
 
 
 class TestValueFunctionOracle:

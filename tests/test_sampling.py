@@ -344,20 +344,16 @@ class TestStateActionKernel:
 
 
 class TestStateActionMixing:
-    """Q-learning instances take the (s,a) chain's mixing from the S x S kernel."""
+    """The short-horizon warning reads a Q-learning chain's rho from the S x S
+    kernel P_b, which has the nonzero spectrum of the (s,a) kernel."""
 
     @pytest.mark.parametrize("n_states,n_actions,seed", [(4, 2, 0), (6, 3, 1), (40, 2, 2), (60, 4, 3)])
     def test_matches_full_kernel(self, n_states, n_actions, seed):
         params = GeneratorParams(n_states=n_states, n_actions=n_actions, branching=3,
                                  n_agents=3, d=1)
         inst = generate_instance(Q_LEARNING, params, seed)
-        for behavior, mix in zip(inst.behaviors, inst.agent_mixing):
+        for behavior in inst.behaviors:
+            mix = mixing_diagnostics(policy_transition_matrix(inst.mdp, behavior))
             kernel = state_action_kernel(inst.mdp, behavior)
-            # the pre-factorisation estimate: spectrum, stationary law and
-            # total variation all of the (S A)^2 kernel
             moduli = np.sort(np.abs(np.linalg.eigvals(kernel)))[::-1]
-            mu_sa = stationary_distribution(kernel)
-            rho = float(moduli[1])
-            tv_at_1 = max(0.5 * float(np.abs(row - mu_sa).sum()) for row in kernel)
-            assert abs(mix.rho - rho) <= 1e-12
-            assert abs(mix.m_bar - tv_at_1 / rho) <= 1e-12
+            assert abs(mix.rho - float(moduli[1])) <= 1e-12
