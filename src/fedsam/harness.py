@@ -232,6 +232,8 @@ class ExperimentSpec:
             raise ValueError("params.n_agents must cover the largest grid N")
         if self.mdp_path is not None and self.policies_path is None:
             raise ValueError("mdp_path needs a policies_path")
+        if self.mdp_path is None and (self.policies_path, self.features_path) != (None, None):
+            raise ValueError("policies_path and features_path need an mdp_path")
         self.params.validate()
 
     def cells(self) -> list[Cell]:

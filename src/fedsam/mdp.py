@@ -111,8 +111,14 @@ class Mdp(PickledWithoutCaches):
 
     @classmethod
     def read(cls, path) -> "Mdp":
-        """The MDP in a file that `to_json` wrote."""
-        return cls(*read_json(path, "n_states", "n_actions", "transition", "reward", "gamma"))
+        """The MDP in a file that `to_json` wrote; its counts must be integers, its gamma a number."""
+        values = read_json(path, "n_states", "n_actions", "transition", "reward", "gamma")
+        for key, value, kind in (("n_states", values[0], int), ("n_actions", values[1], int),
+                                 ("gamma", values[4], float)):
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                what = "a number" if kind is float else "an integer"
+                raise ValueError(f"{path}: key {key!r} must be {what}, got {value!r}")
+        return cls(*values)
 
 
 @dataclass(frozen=True)

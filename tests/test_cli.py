@@ -237,7 +237,8 @@ class TestRunAndSweep:
 
 
 class TestIncompleteEnvironmentFiles:
-    """An environment file or spec that lacks a key is a usage error: exit 2 and one `error:` line."""
+    """An environment file or spec that lacks a key, or holds a scalar of the wrong type,
+    is a usage error: exit 2 and one `error:` line."""
 
     @pytest.fixture()
     def env_dir(self, tmp_path):
@@ -283,6 +284,29 @@ class TestIncompleteEnvironmentFiles:
             "--policies", str(env_dir / "policies.json"), "--kind", kind,
         )
         self.assert_usage_error(code, capsys.readouterr().err, str(env_dir / name), repr(key))
+
+    @pytest.mark.parametrize("key", ["policies_path", "features_path"])
+    def test_environment_file_without_mdp_path(self, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        code = run_cli("sweep", "--out", str(out), "--set", f"{key}=/nonexistent/env.json",
+                       "--set", "horizon=50", "--set", "replications=1")
+        self.assert_usage_error(code, capsys.readouterr().err, key, "mdp_path")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_states", "4"),
+        ("n_actions", 2.0),
+        ("n_states", True),
+        ("gamma", "0.9"),
+        ("gamma", None),
+    ])
+    def test_mdp_file_with_a_wrong_typed_scalar(self, env_dir, capsys, key, value):
+        path = env_dir / "mdp.json"
+        data = json.loads(path.read_text())
+        data[key] = value
+        path.write_text(json.dumps(data))
+        code = run_cli("oracle", "--mdp", str(path), "--kind", "qstar")
+        self.assert_usage_error(code, capsys.readouterr().err, str(path), repr(key))
 
     def test_a_file_that_is_not_an_object(self, env_dir, capsys):
         (env_dir / "policies.json").write_text("[]")

@@ -24,7 +24,6 @@ from fedsam.engine import (
 from fedsam.errors import DivergenceError
 from fedsam.harness import GeneratorParams, generate_instance
 from fedsam.sampling import TAG_NOISE, stream
-from fedsam.validation import noise_average_diagnostic
 
 
 class ClosureProblem(FedSamProblem):
@@ -539,36 +538,6 @@ class TestBlockEnds:
         for agent in range(2):
             blocks = [(t_start, t_stop) for i, t_start, t_stop in calls if i == agent]
             assert blocks == list(zip([0] + ends[:-1], ends))
-
-
-class TestNoiseAverageDiagnostic:
-    def test_zero_noise_gives_zero(self):
-        prob = deterministic_problem(0.5, n_agents=2)
-        assert noise_average_diagnostic(prob, 2, r=0, n_samples=100) == 0.0
-
-    def test_single_agent_below_bound(self):
-        class _Bounded:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def step(self):
-                return float(self.rng.uniform(-1, 1))
-
-        prob = ClosureProblem(
-            dim=1, n_agents=1,
-            apply_g=lambda i, th, y: np.zeros(1),
-            apply_b=lambda i, y: np.array([y]),
-            make_noise=lambda i, rng: _Bounded(rng),
-        )
-        assert noise_average_diagnostic(prob, 1, r=2, n_samples=500) <= 1.0
-
-    def test_clt_scaling(self):
-        est = {
-            n: noise_average_diagnostic(iid_problem(n), n, r=0, n_samples=4000, master_seed=5)
-            for n in (1, 16)
-        }
-        ratio = est[16] / est[1]
-        assert abs(ratio * 4.0 - 1.0) <= 0.2
 
 
 class TestWrappedProblems:

@@ -350,6 +350,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown generator keys"):
             ExperimentSpec.from_dict({"params": {"n_state": 3}})
 
+    @pytest.mark.parametrize("key", ["policies_path", "features_path"])
+    def test_environment_file_without_mdp_path_rejected(self, key):
+        # a generated instance would silently stand in for the named file
+        with pytest.raises(ValueError, match=f"{key}.*need an mdp_path"):
+            small_spec(**{key: "/nonexistent/env.json"}).validate()
+
 
 class TestTrendEstimators:
     def test_speedup_slope_exact_on_inverse_law(self):
